@@ -180,20 +180,34 @@ def _down_run_lengths(path: structures.DyckPath) -> list[int]:
 # criteria 3-7: Monte Carlo laws
 
 
+def _declared_reports(
+    requests: list[harness.Request], threads: int
+) -> list[harness.ExperimentReport]:
+    """Run requests at the (n, samples, seed) their ``cfg`` declares.
+
+    Requests that declare the same sample share one sampling pass.
+    """
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for index, request in enumerate(requests):
+        cfg = request.cfg
+        groups.setdefault((cfg["n"], cfg["samples"], cfg["seed"]), []).append(index)
+    reports: list = [None] * len(requests)
+    for (n, samples, seed), members in groups.items():
+        batch = harness.run_experiments(
+            n, samples, seed, [requests[i] for i in members], threads=threads
+        )
+        for index, report in zip(members, batch):
+            reports[index] = report
+    return reports
+
+
 def check_clt(threads: int = 1) -> CriterionResult:
-    cfg = _CFG["clt_blocks"]
     cfg_l = _CFG["clt_blocks_of_size"]
-    reports = [
-        harness.run_clt_blocks(
-            cfg["n"], cfg["samples"], cfg["seed"], threads=threads
-        )
-    ]
-    for l in (1, 2, 3):
-        reports.append(
-            harness.run_clt_blocks_of_size(
-                cfg_l["n"], l, cfg_l["samples"], cfg_l["seed"], threads=threads
-            )
-        )
+    reports = _declared_reports(
+        [harness.Request("clt-blocks", cfg=_CFG["clt_blocks"])]
+        + [harness.Request("clt-size", {"l": l}, cfg_l) for l in (1, 2, 3)],
+        threads,
+    )
     failures = []
     for rep in reports:
         if not rep.checks["ks_below_threshold"]:
@@ -209,9 +223,7 @@ def check_clt(threads: int = 1) -> CriterionResult:
 
 def check_geometric_profile(threads: int = 1) -> CriterionResult:
     cfg = _CFG["geometric_profile"]
-    rep = harness.run_geometric_profile(
-        cfg["n"], cfg["samples"], cfg["seed"], threads=threads
-    )
+    [rep] = _declared_reports([harness.Request("geometric-profile", cfg=cfg)], threads)
     failures = [name for name, ok in rep.checks.items() if not ok]
     deviations = ", ".join(
         f"l={l}: {rep.observed[f'mean_per_element_size_{l}'] * 2 ** (l + 1) - 1:+.3%}"
@@ -229,8 +241,8 @@ def check_negative_correlation(threads: int = 1) -> CriterionResult:
             for l in range(k + 1, n - k + 1):
                 if exact.covariance(n, k, l) >= 0:
                     failures.append(f"exact cov({n},{k},{l}) >= 0")
-    rep = harness.run_negative_correlation(
-        cfg["n"], cfg["k"], cfg["l"], cfg["samples"], cfg["seed"], threads=threads
+    [rep] = _declared_reports(
+        [harness.Request("covariance", {"k": cfg["k"], "l": cfg["l"]}, cfg)], threads
     )
     failures.extend(name for name, ok in rep.checks.items() if not ok)
     passed, detail = _fail_detail(
@@ -277,16 +289,7 @@ def check_largest_block_concentration(threads: int = 1) -> CriterionResult:
     """
     cfg = _CFG["largest_block_concentration"]
     n, epsilon, samples = cfg["n"], cfg["epsilon"], cfg["samples"]
-    rep = harness.run_largest_block(
-        n,
-        samples,
-        cfg["seed"],
-        threads=threads,
-        epsilon=epsilon,
-        outside_max=cfg["outside_max"],
-        tv_max=cfg["tv_max"],
-        window=cfg["window"],
-    )
+    [rep] = _declared_reports([harness.Request("largest-block", cfg=cfg)], threads)
     e_lo, e_hi = cfg["decay_log2_n"]
     decay_sizes = [2**e for e in range(e_lo, e_hi + 1)]
     masses = {
@@ -326,7 +329,7 @@ def check_largest_block_concentration(threads: int = 1) -> CriterionResult:
 
 def check_width(threads: int = 1) -> CriterionResult:
     cfg = _CFG["width"]
-    rep = harness.run_width(cfg["n"], cfg["samples"], cfg["seed"], threads=threads)
+    [rep] = _declared_reports([harness.Request("width", cfg=cfg)], threads)
     failures = [name for name, ok in rep.checks.items() if not ok]
     passed, detail = _fail_detail(
         failures,

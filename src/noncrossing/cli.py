@@ -158,45 +158,13 @@ def _report_out(args: argparse.Namespace, report: harness.ExperimentReport) -> i
     return 0 if report.passed else 1
 
 
-def _cmd_clt_blocks(args: argparse.Namespace) -> int:
-    return _report_out(
-        args,
-        harness.run_clt_blocks(args.n, args.samples, args.seed, threads=args.threads),
+def _cmd_experiment(args: argparse.Namespace) -> int:
+    names = harness.EXPERIMENTS[args.command].params
+    request = harness.Request(args.command, {name: getattr(args, name) for name in names})
+    [report] = harness.run_experiments(
+        args.n, args.samples, args.seed, [request], threads=args.threads
     )
-
-
-def _cmd_clt_size(args: argparse.Namespace) -> int:
-    return _report_out(
-        args,
-        harness.run_clt_blocks_of_size(
-            args.n, args.l, args.samples, args.seed, threads=args.threads
-        ),
-    )
-
-
-def _cmd_covariance(args: argparse.Namespace) -> int:
-    return _report_out(
-        args,
-        harness.run_negative_correlation(
-            args.n, args.k, args.l, args.samples, args.seed, threads=args.threads
-        ),
-    )
-
-
-def _cmd_largest_block(args: argparse.Namespace) -> int:
-    return _report_out(
-        args,
-        harness.run_largest_block(
-            args.n, args.samples, args.seed, threads=args.threads
-        ),
-    )
-
-
-def _cmd_width(args: argparse.Namespace) -> int:
-    return _report_out(
-        args,
-        harness.run_width(args.n, args.samples, args.seed, threads=args.threads),
-    )
+    return _report_out(args, report)
 
 
 def _cmd_width_process(args: argparse.Namespace) -> int:
@@ -232,6 +200,16 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noncrossing",
@@ -244,9 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, required=n_required, help="ground-set size")
         p.add_argument("--l", type=int, default=1, help="block size marker")
         p.add_argument("--k", type=int, default=2, help="second size / bound")
-        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--samples", type=_positive_int, default=100_000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_positive_int, default=1)
         p.add_argument("--guard", type=int, default=exact.SERIES_GUARD)
         p.add_argument("--out", type=str, default=None, help="write output to a file")
         p.add_argument("--format", choices=("csv", "json"), default="json")
@@ -271,16 +249,17 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_exact)
 
-    for name, func, helptext in (
-        ("clt-blocks", _cmd_clt_blocks, "Gaussian check for the block count"),
-        ("clt-size", _cmd_clt_size, "Gaussian check for size-l block counts"),
-        ("covariance", _cmd_covariance, "negative-correlation check"),
-        ("largest-block", _cmd_largest_block, "largest-block law checks"),
-        ("width", _cmd_width, "width law checks"),
+    # each name is a key of harness.EXPERIMENTS
+    for name, helptext in (
+        ("clt-blocks", "Gaussian check for the block count"),
+        ("clt-size", "Gaussian check for size-l block counts"),
+        ("covariance", "negative-correlation check"),
+        ("largest-block", "largest-block law checks"),
+        ("width", "width law checks"),
     ):
         p = sub.add_parser(name, help=helptext)
         common(p)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("width-process", help="export one width profile as CSV")
     common(p)

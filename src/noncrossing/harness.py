@@ -1,10 +1,13 @@
-"""Monte Carlo experiment runners and goodness-of-fit machinery.
+"""Monte Carlo experiment runner and goodness-of-fit machinery.
 
-Each ``run_*`` function samples uniform non-crossing partitions, compares
-observed statistics against references from the exact module (labeled
-"exact") or the limit laws (labeled "asymptotic"), and returns a
-reproducible ExperimentReport.  Declared tolerances live in
-``tolerances.json``, not in code.
+``EXPERIMENTS`` is the table of laws checked by sampling uniform
+non-crossing partitions.  Each entry names its ``tolerances.json``
+section, the batch kernels it needs and an evaluation that compares the
+sampled statistics against references from the exact module (labeled
+"exact") or the limit laws (labeled "asymptotic").  ``run_experiments``
+evaluates any number of requests on one sample per (n, samples, seed)
+and returns a reproducible ExperimentReport for each.  Declared
+tolerances live in ``tolerances.json``, not in code.
 
 Parallelism: sample index i is always drawn from Philox stream
 i // SAMPLES_PER_STREAM, so reports are bit-identical for any thread
@@ -20,7 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -120,9 +123,9 @@ def map_sample_statistics(
     n: int,
     samples: int,
     seed: int,
-    kernels: Mapping[str, Callable[[np.ndarray], np.ndarray]],
+    kernels: Mapping[Hashable, Callable[[np.ndarray], np.ndarray]],
     threads: int = 1,
-) -> dict[str, np.ndarray]:
+) -> dict[Hashable, np.ndarray]:
     """Draw ``samples`` paths and apply every kernel, streaming in chunks.
 
     Work units of SAMPLES_PER_STREAM samples each use their own Philox
@@ -139,10 +142,10 @@ def map_sample_statistics(
         units.append((len(units), count))
         start += count
 
-    def run_unit(unit: tuple[int, int]) -> dict[str, list[np.ndarray]]:
+    def run_unit(unit: tuple[int, int]) -> dict[Hashable, list[np.ndarray]]:
         index, count = unit
         gen = RngState(seed, index).generator()
-        parts: dict[str, list[np.ndarray]] = {name: [] for name in kernels}
+        parts: dict[Hashable, list[np.ndarray]] = {name: [] for name in kernels}
         remaining = count
         while remaining > 0:
             rows = min(rows_cap, remaining)
@@ -165,42 +168,96 @@ def map_sample_statistics(
 
 # ---------------------------------------------------------------------------
 # experiments
+#
+# An experiment turns the arrays of its kernels into a report.  Its kernels
+# are named by hashable specs, ``(head, *args)``, so that requests sharing a
+# sample share their kernels; ``evaluate`` returns every report field except
+# ``passed``, which ``run_experiments`` derives from the checks.
+
+# spec head -> ``statistics`` function, looked up on every call so that
+# wrappers installed on the module (such as tracing spans) see each call
+_KERNELS = {
+    "blocks": "batch_num_blocks",
+    "size": "batch_count_blocks_of_size",
+    "largest": "batch_largest_block",
+    "width": "batch_width",
+}
 
 
-def run_clt_blocks(
+def _kernel(spec: tuple) -> Callable[[np.ndarray], np.ndarray]:
+    head, *args = spec
+    name = _KERNELS[head]
+    return lambda steps: getattr(statistics, name)(steps, *args)
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One law checked by Monte Carlo: its config, kernels and evaluation."""
+
+    section: str  # tolerances.json section holding the default thresholds
+    # (n, cfg, **params) -> kernel specs; raises ValueError on invalid input
+    kernels: Callable[..., list[tuple]]
+    # (n, samples, seed, arrays by spec, cfg, **params) -> report fields
+    evaluate: Callable[..., dict]
+    params: tuple[str, ...] = ()  # per-request arguments, e.g. ("l",)
+
+
+@dataclass(frozen=True)
+class Request:
+    """One experiment to evaluate on a shared sample."""
+
+    experiment: str  # key of EXPERIMENTS
+    params: Mapping[str, int] = dataclasses.field(default_factory=dict)
+    cfg: Mapping | None = None  # thresholds; None reads the experiment's section
+
+
+def run_experiments(
     n: int,
     samples: int,
     seed: int,
+    requests: Iterable[Request],
     *,
     threads: int = 1,
-    ks_max: float | None = None,
-    mean_sigma_band: float | None = None,
-    var_rel_tol: float | None = None,
-) -> ExperimentReport:
-    """Normalized block count against the standard Gaussian."""
-    cfg = _CONFIG["clt_blocks"]
-    ks_max = cfg["ks_max"] if ks_max is None else ks_max
-    mean_sigma_band = cfg["mean_sigma_band"] if mean_sigma_band is None else mean_sigma_band
-    var_rel_tol = cfg["var_rel_tol"] if var_rel_tol is None else var_rel_tol
+) -> list[ExperimentReport]:
+    """Evaluate every request on one sample of ``samples`` paths.
+
+    The kernels of all requests are applied in a single sampling pass, each
+    distinct spec once, so a report is the same whether its request runs
+    alone or together with others.
+    """
+    plans = []
+    for request in requests:
+        experiment = EXPERIMENTS[request.experiment]
+        cfg = _CONFIG[experiment.section] if request.cfg is None else request.cfg
+        specs = experiment.kernels(n, cfg, **request.params)
+        plans.append((experiment, cfg, request.params, specs))
+    kernels = {spec: _kernel(spec) for *_, specs in plans for spec in specs}
+    arrays = map_sample_statistics(n, samples, seed, kernels, threads)
+    reports = []
+    for experiment, cfg, params, _ in plans:
+        fields = experiment.evaluate(n, samples, seed, arrays, cfg, **params)
+        passed = all(fields["checks"].values())
+        reports.append(ExperimentReport(**fields, passed=passed))
+    return reports
+
+
+def _clt_blocks_kernels(n: int, cfg: Mapping) -> list[tuple]:
     if n < 2:
         raise ValueError("n must be >= 2")
-    counts = map_sample_statistics(
-        n, samples, seed, {"blocks": statistics.batch_num_blocks}, threads
-    )["blocks"]
+    return [("blocks",)]
+
+
+def _clt_blocks(n: int, samples: int, seed: int, arrays: dict, cfg: Mapping) -> dict:
+    """Normalized block count against the standard Gaussian."""
+    counts = arrays[("blocks",)]
     mean_ref = float(exact.mean_blocks(n))
     var_ref = float(exact.var_blocks_total(n))
     z = (counts - mean_ref) / math.sqrt(var_ref)
     ks = ks_distance(z, limitlaws.std_normal_cdf)
     sample_mean = float(counts.mean())
     sample_var = float(counts.var(ddof=1))
-    mean_band = mean_sigma_band * math.sqrt(var_ref / samples)
-    checks = {
-        "ks_below_threshold": ks < ks_max,
-        "mean_within_band": abs(sample_mean - mean_ref) < mean_band,
-        "variance_within_relative_tolerance": abs(sample_var - var_ref)
-        < var_rel_tol * var_ref,
-    }
-    return ExperimentReport(
+    mean_band = cfg["mean_sigma_band"] * math.sqrt(var_ref / samples)
+    return dict(
         experiment_id="clt-blocks",
         parameters={"n": n, "samples": samples, "seed": seed},
         observed={
@@ -213,50 +270,37 @@ def run_clt_blocks(
             "variance": _reference(var_ref, "exact"),
         },
         tolerances={
-            "ks_max": ks_max,
+            "ks_max": cfg["ks_max"],
             "mean_band": mean_band,
-            "var_rel_tol": var_rel_tol,
+            "var_rel_tol": cfg["var_rel_tol"],
         },
-        checks=checks,
-        passed=all(checks.values()),
+        checks={
+            "ks_below_threshold": ks < cfg["ks_max"],
+            "mean_within_band": abs(sample_mean - mean_ref) < mean_band,
+            "variance_within_relative_tolerance": abs(sample_var - var_ref)
+            < cfg["var_rel_tol"] * var_ref,
+        },
     )
 
 
-def run_clt_blocks_of_size(
-    n: int,
-    l: int,
-    samples: int,
-    seed: int,
-    *,
-    threads: int = 1,
-    ks_max: float | None = None,
-    mean_rel_tol: float | None = None,
-) -> ExperimentReport:
-    """Normalized count of size-l blocks against the standard Gaussian."""
-    cfg = _CONFIG["clt_blocks_of_size"]
-    ks_max = cfg["ks_max"] if ks_max is None else ks_max
-    mean_rel_tol = cfg["mean_rel_tol"] if mean_rel_tol is None else mean_rel_tol
+def _clt_size_kernels(n: int, cfg: Mapping, l: int) -> list[tuple]:
     if not 1 <= l < n:
         raise ValueError("need 1 <= l < n")
-    counts = map_sample_statistics(
-        n,
-        samples,
-        seed,
-        {"size": lambda s: statistics.batch_count_blocks_of_size(s, l)},
-        threads,
-    )["size"]
+    return [("size", l)]
+
+
+def _clt_size(
+    n: int, samples: int, seed: int, arrays: dict, cfg: Mapping, l: int
+) -> dict:
+    """Normalized count of size-l blocks against the standard Gaussian."""
+    counts = arrays[("size", l)]
     mean_ref = float(exact.mean_blocks_of_size(n, l))
     var_ref = float(exact.var_blocks_of_size(n, l))
     z = (counts - mean_ref) / math.sqrt(var_ref)
     ks = ks_distance(z, limitlaws.std_normal_cdf)
     sample_mean = float(counts.mean())
     geometric = 2.0 ** -(l + 1)
-    checks = {
-        "ks_below_threshold": ks < ks_max,
-        "mean_per_element_near_geometric": abs(sample_mean / n - geometric)
-        < mean_rel_tol * geometric,
-    }
-    return ExperimentReport(
+    return dict(
         experiment_id=f"clt-size-{l}",
         parameters={"n": n, "l": l, "samples": samples, "seed": seed},
         observed={
@@ -269,35 +313,25 @@ def run_clt_blocks_of_size(
             "variance": _reference(var_ref, "exact"),
             "geometric_rate": _reference(geometric, "asymptotic"),
         },
-        tolerances={"ks_max": ks_max, "mean_rel_tol": mean_rel_tol},
-        checks=checks,
-        passed=all(checks.values()),
+        tolerances={"ks_max": cfg["ks_max"], "mean_rel_tol": cfg["mean_rel_tol"]},
+        checks={
+            "ks_below_threshold": ks < cfg["ks_max"],
+            "mean_per_element_near_geometric": abs(sample_mean / n - geometric)
+            < cfg["mean_rel_tol"] * geometric,
+        },
     )
 
 
-def run_geometric_profile(
-    n: int,
-    samples: int,
-    seed: int,
-    *,
-    l_max: int | None = None,
-    rel_tol: float | None = None,
-    threads: int = 1,
-) -> ExperimentReport:
+def _geometric_profile(
+    n: int, samples: int, seed: int, arrays: dict, cfg: Mapping
+) -> dict:
     """Mean size-l counts per element against the geometric profile 2^-(l+1)."""
-    cfg = _CONFIG["geometric_profile"]
-    l_max = cfg["l_max"] if l_max is None else l_max
-    rel_tol = cfg["rel_tol"] if rel_tol is None else rel_tol
-    kernels = {
-        f"size_{l}": (lambda ll: lambda s: statistics.batch_count_blocks_of_size(s, ll))(l)
-        for l in range(1, l_max + 1)
-    }
-    stats = map_sample_statistics(n, samples, seed, kernels, threads)
+    l_max, rel_tol = cfg["l_max"], cfg["rel_tol"]
     observed = {}
     reference = {}
     checks = {}
     for l in range(1, l_max + 1):
-        per_element = float(stats[f"size_{l}"].mean()) / n
+        per_element = float(arrays[("size", l)].mean()) / n
         target = 2.0 ** -(l + 1)
         observed[f"mean_per_element_size_{l}"] = per_element
         reference[f"geometric_size_{l}"] = _reference(target, "asymptotic")
@@ -305,44 +339,28 @@ def run_geometric_profile(
             float(exact.mean_blocks_of_size(n, l)) / n, "exact"
         )
         checks[f"size_{l}_within_tolerance"] = abs(per_element - target) < rel_tol * target
-    return ExperimentReport(
+    return dict(
         experiment_id="geometric-profile",
         parameters={"n": n, "samples": samples, "seed": seed, "l_max": l_max},
         observed=observed,
         reference=reference,
         tolerances={"rel_tol": rel_tol},
         checks=checks,
-        passed=all(checks.values()),
     )
 
 
-def run_negative_correlation(
-    n: int,
-    k: int,
-    l: int,
-    samples: int,
-    seed: int,
-    *,
-    threads: int = 1,
-    sigma_band: float | None = None,
-) -> ExperimentReport:
-    """Empirical covariance of two size counts against the exact value."""
-    cfg = _CONFIG["negative_correlation"]
-    sigma_band = cfg["sigma_band"] if sigma_band is None else sigma_band
+def _covariance_kernels(n: int, cfg: Mapping, k: int, l: int) -> list[tuple]:
     if k == l:
         raise ValueError("sizes must differ")
-    stats = map_sample_statistics(
-        n,
-        samples,
-        seed,
-        {
-            "first": lambda s: statistics.batch_count_blocks_of_size(s, k),
-            "second": lambda s: statistics.batch_count_blocks_of_size(s, l),
-        },
-        threads,
-    )
-    a = stats["first"].astype(float)
-    b = stats["second"].astype(float)
+    return [("size", k), ("size", l)]
+
+
+def _covariance(
+    n: int, samples: int, seed: int, arrays: dict, cfg: Mapping, k: int, l: int
+) -> dict:
+    """Empirical covariance of two size counts against the exact value."""
+    a = arrays[("size", k)].astype(float)
+    b = arrays[("size", l)].astype(float)
     da = a - a.mean()
     db = b - b.mean()
     emp_cov = float(np.dot(da, db) / (samples - 1))
@@ -350,12 +368,7 @@ def run_negative_correlation(
     second_moment = float(np.mean((da * db) ** 2))
     se = math.sqrt(max(second_moment - emp_cov**2, 0.0) / samples)
     exact_cov = float(exact.covariance(n, k, l))
-    checks = {
-        "exact_covariance_negative": exact_cov < 0,
-        "empirical_covariance_negative": emp_cov < 0,
-        "empirical_within_band": abs(emp_cov - exact_cov) < sigma_band * se,
-    }
-    return ExperimentReport(
+    return dict(
         experiment_id=f"covariance-{k}-{l}",
         parameters={"n": n, "k": k, "l": l, "samples": samples, "seed": seed},
         observed={"empirical_covariance": emp_cov, "standard_error": se},
@@ -363,9 +376,12 @@ def run_negative_correlation(
             "covariance": _reference(exact_cov, "exact"),
             "leading_term": _reference(exact.asymptotic_cov(k, l, n), "asymptotic"),
         },
-        tolerances={"sigma_band": sigma_band},
-        checks=checks,
-        passed=all(checks.values()),
+        tolerances={"sigma_band": cfg["sigma_band"]},
+        checks={
+            "exact_covariance_negative": exact_cov < 0,
+            "empirical_covariance_negative": emp_cov < 0,
+            "empirical_within_band": abs(emp_cov - exact_cov) < cfg["sigma_band"] * se,
+        },
     )
 
 
@@ -401,17 +417,12 @@ def largest_block_outside_mass(n: int, epsilon: float) -> Fraction:
     return Fraction(below + total - counts[hi], total)
 
 
-def largest_block_exact_vs_approx(n: int, window: int | None = None) -> dict:
-    """Max gap between the exact CDF and its double-exponential form.
-
-    Scans k in floor(log2 n) +- window; the comparison bound
-    10 (ln n)^2 / n tracks the approximation's stated error order.
-    """
-    cfg = _CONFIG["largest_block_gap"]
-    window = cfg["window"] if window is None else window
+def _gap_ks(n: int, window: int) -> list[int]:
     center = n.bit_length() - 1
-    ks = [k for k in range(center - window, center + window + 1) if 1 <= k <= n]
-    table = _exact_largest_block_table(n, max(ks))
+    return [k for k in range(center - window, center + window + 1) if 1 <= k <= n]
+
+
+def _approximation_gap(n: int, ks: list[int], table: Mapping[int, float]) -> dict:
     diffs = {
         k: abs(table[k] - limitlaws.largest_block_cdf_approx(n, k)) for k in ks
     }
@@ -427,33 +438,36 @@ def largest_block_exact_vs_approx(n: int, window: int | None = None) -> dict:
     }
 
 
-def run_largest_block(
-    n: int,
-    samples: int,
-    seed: int,
-    *,
-    threads: int = 1,
-    epsilon: float | None = None,
-    outside_max: float | None = None,
-    tv_max: float | None = None,
-    window: int | None = None,
-) -> ExperimentReport:
-    """Largest-block law: concentration, exact CDF fit, approximation gap."""
-    cfg = _CONFIG["largest_block_tv"]
-    epsilon = cfg["epsilon"] if epsilon is None else epsilon
-    outside_max = cfg["outside_max"] if outside_max is None else outside_max
-    tv_max = cfg["tv_max"] if tv_max is None else tv_max
-    window = cfg["window"] if window is None else window
+def largest_block_exact_vs_approx(n: int, window: int | None = None) -> dict:
+    """Max gap between the exact CDF and its double-exponential form.
+
+    Scans k in floor(log2 n) +- window; the comparison bound
+    10 (ln n)^2 / n tracks the approximation's stated error order.
+    """
+    window = _CONFIG["largest_block_gap"]["window"] if window is None else window
+    ks = _gap_ks(n, window)
+    return _approximation_gap(n, ks, _exact_largest_block_table(n, max(ks)))
+
+
+def _largest_block_kernels(n: int, cfg: Mapping) -> list[tuple]:
     if n < 4:
         raise ValueError("n must be >= 4")
-    largest = map_sample_statistics(
-        n, samples, seed, {"largest": statistics.batch_largest_block}, threads
-    )["largest"]
+    return [("largest",)]
+
+
+def _largest_block(
+    n: int, samples: int, seed: int, arrays: dict, cfg: Mapping
+) -> dict:
+    """Largest-block law: concentration, exact CDF fit, approximation gap."""
+    epsilon, outside_max, tv_max = cfg["epsilon"], cfg["outside_max"], cfg["tv_max"]
+    largest = arrays[("largest",)]
     log2n = math.log2(n)
     outside = float(np.mean(_outside_window(largest, n, epsilon)))
 
+    # one exact table serves the total variation (k <= k_hi) and the gap scan
     k_hi = min(n, (n.bit_length() - 1) + 30)
-    cdf_exact = _exact_largest_block_table(n, k_hi)
+    ks = _gap_ks(n, cfg["window"])
+    cdf_exact = _exact_largest_block_table(n, max(k_hi, *ks))
     pmf_exact = {1: cdf_exact[1]}
     for k in range(2, k_hi + 1):
         pmf_exact[k] = cdf_exact[k] - cdf_exact[k - 1]
@@ -464,20 +478,15 @@ def run_largest_block(
     )
     tv += 0.5 * abs(hist[k_hi + 1] / samples - tail_exact)
 
-    gap = largest_block_exact_vs_approx(n, window)
-    checks = {
-        "concentration_outside_below_budget": outside < outside_max,
-        "total_variation_below_threshold": tv < tv_max,
-        "approximation_within_error_order": gap["within_bound"],
-    }
-    return ExperimentReport(
+    gap = _approximation_gap(n, ks, cdf_exact)
+    return dict(
         experiment_id="largest-block",
         parameters={
             "n": n,
             "samples": samples,
             "seed": seed,
             "epsilon": epsilon,
-            "window": window,
+            "window": cfg["window"],
         },
         observed={
             "fraction_outside_window": outside,
@@ -494,42 +503,27 @@ def run_largest_block(
             "tv_max": tv_max,
             "gap_bound": gap["bound"],
         },
-        checks=checks,
-        passed=all(checks.values()),
+        checks={
+            "concentration_outside_below_budget": outside < outside_max,
+            "total_variation_below_threshold": tv < tv_max,
+            "approximation_within_error_order": gap["within_bound"],
+        },
     )
 
 
-def run_width(
-    n: int,
-    samples: int,
-    seed: int,
-    *,
-    threads: int = 1,
-    grid: tuple[float, ...] | None = None,
-    mean_rel_tol: float | None = None,
-    tail_x: float | None = None,
-    tail_abs_tol: float | None = None,
-    second_moment_rel_tol: float | None = None,
-) -> ExperimentReport:
-    """Width statistics against the Theta law and its moments."""
-    cfg = _CONFIG["width"]
-    mean_rel_tol = cfg["mean_rel_tol"] if mean_rel_tol is None else mean_rel_tol
-    tail_x = cfg["tail_x"] if tail_x is None else tail_x
-    tail_abs_tol = cfg["tail_abs_tol"] if tail_abs_tol is None else tail_abs_tol
-    second_moment_rel_tol = (
-        cfg["second_moment_rel_tol"]
-        if second_moment_rel_tol is None
-        else second_moment_rel_tol
-    )
-    if grid is None:
-        start, stop, step = cfg["grid_start"], cfg["grid_stop"], cfg["grid_step"]
-        count = int(round((stop - start) / step)) + 1
-        grid = tuple(start + i * step for i in range(count))
+def _width_kernels(n: int, cfg: Mapping) -> list[tuple]:
     if n < 16:
         raise ValueError("n must be >= 16")
-    widths = map_sample_statistics(
-        n, samples, seed, {"width": statistics.batch_width}, threads
-    )["width"].astype(float)
+    return [("width",)]
+
+
+def _width(n: int, samples: int, seed: int, arrays: dict, cfg: Mapping) -> dict:
+    """Width statistics against the Theta law and its moments."""
+    start, stop, step = cfg["grid_start"], cfg["grid_stop"], cfg["grid_step"]
+    count = int(round((stop - start) / step)) + 1
+    grid = tuple(start + i * step for i in range(count))
+    tail_x = cfg["tail_x"]
+    widths = arrays[("width",)].astype(float)
     scale = math.sqrt(n) / 2.0
     mean_obs = float(widths.mean())
     m2_obs = float(np.mean(widths**2))
@@ -537,15 +531,7 @@ def run_width(
     m2_ref = limitlaws.width_moment(2, n)
     tails_obs = {x: float(np.mean(widths >= x * scale)) for x in grid}
     tails_ref = {x: limitlaws.theta_tail(x) for x in grid}
-    checks = {
-        "mean_within_relative_tolerance": abs(mean_obs - mean_ref)
-        < mean_rel_tol * mean_ref,
-        "tail_at_reference_point": abs(tails_obs[tail_x] - tails_ref[tail_x])
-        < tail_abs_tol,
-        "second_moment_within_relative_tolerance": abs(m2_obs - m2_ref)
-        < second_moment_rel_tol * m2_ref,
-    }
-    return ExperimentReport(
+    return dict(
         experiment_id="width",
         parameters={"n": n, "samples": samples, "seed": seed, "grid": list(grid)},
         observed={
@@ -559,13 +545,39 @@ def run_width(
             "tails": _reference({str(x): tails_ref[x] for x in grid}, "asymptotic"),
         },
         tolerances={
-            "mean_rel_tol": mean_rel_tol,
-            "tail_abs_tol": tail_abs_tol,
-            "second_moment_rel_tol": second_moment_rel_tol,
+            "mean_rel_tol": cfg["mean_rel_tol"],
+            "tail_abs_tol": cfg["tail_abs_tol"],
+            "second_moment_rel_tol": cfg["second_moment_rel_tol"],
         },
-        checks=checks,
-        passed=all(checks.values()),
+        checks={
+            "mean_within_relative_tolerance": abs(mean_obs - mean_ref)
+            < cfg["mean_rel_tol"] * mean_ref,
+            "tail_at_reference_point": abs(tails_obs[tail_x] - tails_ref[tail_x])
+            < cfg["tail_abs_tol"],
+            "second_moment_within_relative_tolerance": abs(m2_obs - m2_ref)
+            < cfg["second_moment_rel_tol"] * m2_ref,
+        },
     )
+
+
+EXPERIMENTS: dict[str, Experiment] = {
+    "clt-blocks": Experiment("clt_blocks", _clt_blocks_kernels, _clt_blocks),
+    "clt-size": Experiment(
+        "clt_blocks_of_size", _clt_size_kernels, _clt_size, params=("l",)
+    ),
+    "geometric-profile": Experiment(
+        "geometric_profile",
+        lambda n, cfg: [("size", l) for l in range(1, cfg["l_max"] + 1)],
+        _geometric_profile,
+    ),
+    "covariance": Experiment(
+        "negative_correlation", _covariance_kernels, _covariance, params=("k", "l")
+    ),
+    "largest-block": Experiment(
+        "largest_block_tv", _largest_block_kernels, _largest_block
+    ),
+    "width": Experiment("width", _width_kernels, _width),
+}
 
 
 def export_width_process(n: int, seed: int) -> list[tuple[int, int]]:

@@ -41,9 +41,6 @@ class RngState:
         key = [self.seed & _MASK64, self.stream & _MASK64]
         return np.random.Generator(np.random.Philox(key=key))
 
-    def with_stream(self, stream: int) -> "RngState":
-        return RngState(self.seed, stream)
-
 
 def sample_dyck_steps(n: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """Draw ``count`` uniform Dyck paths as a (count, 2n) array of +-1 steps."""

@@ -163,8 +163,3 @@ def batch_width(steps: np.ndarray) -> np.ndarray:
     profile = np.cumsum(per_element, axis=1)
     return profile.max(axis=1).astype(np.int64)
 
-
-def batch_height(steps: np.ndarray) -> np.ndarray:
-    if steps.shape[1] == 0:
-        return np.zeros(steps.shape[0], dtype=np.int64)
-    return np.cumsum(steps, axis=1, dtype=np.int32).max(axis=1).astype(np.int64)

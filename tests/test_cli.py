@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from noncrossing import harness
 from noncrossing.cli import main
 
 
@@ -118,6 +119,37 @@ class TestExperimentCommands:
         )
         assert code == 0
         assert target.read_text().startswith("x,width_at_gap")
+
+
+@pytest.mark.parametrize(
+    "command, n, params",
+    [
+        ("clt-blocks", 64, {}),
+        ("clt-size", 64, {"l": 2}),
+        ("covariance", 64, {"k": 1, "l": 3}),
+        ("largest-block", 64, {}),
+        ("width", 64, {}),
+    ],
+)
+def test_experiment_command_prints_its_report(capsys, command, n, params):
+    flags = [f"--{name}={value}" for name, value in params.items()]
+    code, out = run_cli(
+        capsys, command, "--n", str(n), "--samples", "3000", "--seed", "6", *flags
+    )
+    [report] = harness.run_experiments(n, 3000, 6, [harness.Request(command, params)])
+    assert out == report.to_json() + "\n"
+    assert code == (0 if report.passed else 1)
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--threads"])
+@pytest.mark.parametrize("value", ["0", "-3", "two"])
+def test_non_positive_counts_rejected(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["clt-blocks", "--n", "64", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: expected an integer >= 1, got '{value}'" in err.splitlines()[-1]
+    assert "Traceback" not in err
 
 
 def test_unknown_quantity_rejected(capsys):

@@ -102,28 +102,38 @@ class TestMonteCarloAgainstEnumeration:
             assert abs(float(got[name].mean()) - mean) < 4 * se, name
 
 
+def run_one(experiment, n, samples, seed, params=None, threads=1, **overrides):
+    """One request; ``overrides`` replace entries of the experiment's section."""
+    cfg = None
+    if overrides:
+        section = harness.EXPERIMENTS[experiment].section
+        cfg = {**harness.load_tolerances()[section], **overrides}
+    [rep] = harness.run_experiments(
+        n, samples, seed, [harness.Request(experiment, params or {}, cfg)], threads=threads
+    )
+    return rep
+
+
 class TestExperiments:
     """Scaled-down experiment runs; the full-size gates live in the
     acceptance suite."""
 
     def test_clt_blocks_small(self):
-        rep = harness.run_clt_blocks(300, 20_000, 1, threads=2, ks_max=0.06)
+        rep = run_one("clt-blocks", 300, 20_000, 1, threads=2, ks_max=0.06)
         assert rep.passed, rep.to_json()
         assert rep.reference["mean"]["provenance"] == "exact"
 
     def test_clt_size_small(self):
-        rep = harness.run_clt_blocks_of_size(300, 2, 20_000, 1, threads=2, ks_max=0.08)
+        rep = run_one("clt-size", 300, 20_000, 1, {"l": 2}, threads=2, ks_max=0.08)
         assert rep.checks["ks_below_threshold"], rep.to_json()
 
     def test_negative_correlation_small(self):
-        rep = harness.run_negative_correlation(200, 1, 2, 40_000, 5, threads=2)
+        rep = run_one("covariance", 200, 40_000, 5, {"k": 1, "l": 2}, threads=2)
         assert rep.passed, rep.to_json()
 
     def test_largest_block_tv_full_scale(self):
         cfg = harness.load_tolerances()["largest_block_tv"]
-        rep = harness.run_largest_block(
-            cfg["n"], cfg["samples"], cfg["seed"], threads=2
-        )
+        rep = run_one("largest-block", cfg["n"], cfg["samples"], cfg["seed"], threads=2)
         assert rep.checks["total_variation_below_threshold"], rep.to_json()
         assert rep.observed["total_variation_vs_exact"] < cfg["tv_max"]
         assert rep.checks["approximation_within_error_order"]
@@ -131,7 +141,8 @@ class TestExperiments:
     def test_width_small(self):
         # finite-size bias of the second moment is O(1/sqrt(n)), roughly
         # 10% at n = 400; the tight tolerance is exercised at full scale
-        rep = harness.run_width(
+        rep = run_one(
+            "width",
             400,
             20_000,
             2,
@@ -143,16 +154,62 @@ class TestExperiments:
         assert rep.passed, rep.to_json()
 
     def test_report_json_round_trip(self):
-        rep = harness.run_clt_blocks(64, 4000, 0, ks_max=0.2)
+        rep = run_one("clt-blocks", 64, 4000, 0, ks_max=0.2)
         payload = json.loads(rep.to_json())
         assert payload["schema"] == 1
         assert payload["experiment_id"] == "clt-blocks"
         assert set(payload["checks"]) == set(rep.checks)
 
     def test_reports_are_reproducible(self):
-        a = harness.run_clt_blocks(100, 5000, 9, ks_max=0.2)
-        b = harness.run_clt_blocks(100, 5000, 9, ks_max=0.2)
+        a = run_one("clt-blocks", 100, 5000, 9, ks_max=0.2)
+        b = run_one("clt-blocks", 100, 5000, 9, ks_max=0.2)
         assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize(
+        "experiment, n, params",
+        [
+            ("clt-blocks", 1, {}),
+            ("clt-size", 10, {"l": 10}),
+            ("covariance", 10, {"k": 2, "l": 2}),
+            ("largest-block", 3, {}),
+            ("width", 15, {}),
+        ],
+    )
+    def test_invalid_input_rejected_before_sampling(self, experiment, n, params, monkeypatch):
+        monkeypatch.setattr(harness, "map_sample_statistics", None)
+        with pytest.raises(ValueError):
+            run_one(experiment, n, 100, 0, params)
+
+
+class TestRunExperiments:
+    CRITERION_3 = [harness.Request("clt-blocks")] + [
+        harness.Request("clt-size", {"l": l}) for l in (1, 2, 3)
+    ]
+
+    def test_joint_run_matches_single_runs(self):
+        joint = harness.run_experiments(300, 6000, 4, self.CRITERION_3, threads=2)
+        singles = [
+            harness.run_experiments(300, 6000, 4, [request])[0]
+            for request in self.CRITERION_3
+        ]
+        assert [r.to_json() for r in joint] == [r.to_json() for r in singles]
+
+    def test_one_sampling_pass_over_distinct_kernels(self, monkeypatch):
+        calls = []
+        original = harness.map_sample_statistics
+
+        def counting(n, samples, seed, kernels, threads=1):
+            calls.append(sorted(kernels))
+            return original(n, samples, seed, kernels, threads)
+
+        monkeypatch.setattr(harness, "map_sample_statistics", counting)
+        requests = self.CRITERION_3 + [
+            harness.Request("geometric-profile"),
+            harness.Request("covariance", {"k": 1, "l": 2}),
+        ]
+        reports = harness.run_experiments(200, 2000, 0, requests)
+        assert len(reports) == len(requests)
+        assert calls == [[("blocks",)] + [("size", l) for l in range(1, 5)]]
 
 
 class TestLargestBlockGap:
@@ -195,10 +252,7 @@ class TestWidthTailFiniteSize:
         assert exact_tail == pytest.approx(0.751072, abs=1e-6)
         gap_small = abs(exact_tail - theta)
         assert 0.24 < gap_small < 0.25
-        rep = harness.run_width(
-            400, 20_000, 2, threads=2,
-            mean_rel_tol=1.0, tail_abs_tol=1.0, second_moment_rel_tol=1.0,
-        )
+        rep = run_one("width", 400, 20_000, 2, threads=2)
         gap_moderate = abs(rep.observed["tails"]["1.0"] - theta)
         assert gap_moderate < 0.15 < gap_small
 

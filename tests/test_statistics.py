@@ -86,9 +86,6 @@ class TestBatchKernels:
         assert statistics.batch_width(steps).tolist() == [
             statistics.width(pi) for pi in partitions
         ]
-        assert statistics.batch_height(steps).tolist() == [
-            statistics.dyck_height(p) for p in paths
-        ]
         for size in range(1, n + 1):
             assert statistics.batch_count_blocks_of_size(steps, size).tolist() == [
                 statistics.block_size_histogram(pi)[size - 1] for pi in partitions
