@@ -7,6 +7,7 @@ pin their thresholds from tolerances.json.  ``run_all`` powers the
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -141,7 +142,9 @@ def check_bijections(max_n: int = BIJECTION_MAX_N) -> CriterionResult:
             ):
                 failures.append(f"peaks/leaves/blocks {path.to_text()}")
             sizes_blocks = sorted(len(b) for b in pi.blocks)
-            sizes_runs = sorted(_down_run_lengths(path))
+            sizes_runs = sorted(
+                len(list(run)) for step, run in itertools.groupby(path.steps) if step < 0
+            )
             if sizes_blocks != sizes_runs:
                 failures.append(f"size transport (runs) {path.to_text()}")
             if n > 0:
@@ -160,20 +163,6 @@ def check_bijections(max_n: int = BIJECTION_MAX_N) -> CriterionResult:
         failures, f"all bijections inverse and statistics transported for n <= {max_n}"
     )
     return CriterionResult("2", "bijection round trips and statistic transport", passed, detail)
-
-
-def _down_run_lengths(path: structures.DyckPath) -> list[int]:
-    runs = []
-    current = 0
-    for s in path.steps:
-        if s == -1:
-            current += 1
-        elif current:
-            runs.append(current)
-            current = 0
-    if current:
-        runs.append(current)
-    return runs
 
 
 # ---------------------------------------------------------------------------

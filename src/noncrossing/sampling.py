@@ -2,10 +2,11 @@
 
 Algorithm: the cycle lemma.  Shuffle n up steps and n+1 down steps
 uniformly; the total is -1, so all 2n+1 rotations are distinct and
-exactly one stays nonnegative before its final step.  Rotating there and
-dropping the final down step yields a Dyck path, and every path has
-exactly 2n+1 preimages, so the output is uniform without any big-integer
-arithmetic.
+exactly one stays nonnegative before its final step: the one starting
+right after the first prefix minimum.  Each row is read there as a
+strided window of the row concatenated with itself, dropping the final
+down step, which yields a Dyck path; every path has exactly 2n+1
+preimages, so the output is uniform without any big-integer arithmetic.
 
 Randomness comes from numpy's Philox counter-based generator keyed by
 (seed, stream): identical keys reproduce identical samples on every
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .bijections import dyck_to_partition
 from .structures import DyckPath, NCPartition
@@ -46,18 +48,18 @@ def sample_dyck_steps(n: int, count: int, gen: np.random.Generator) -> np.ndarra
     """Draw ``count`` uniform Dyck paths as a (count, 2n) array of +-1 steps."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = 2 * n + 1
     base = np.concatenate(
         [np.ones(n, dtype=np.int8), np.full(n + 1, -1, dtype=np.int8)]
     )
     mat = np.tile(base, (count, 1))
     gen.permuted(mat, axis=1, out=mat)
-    prefix = np.cumsum(mat, axis=1, dtype=np.int32)
+    # partial sums lie in [-(n+1), n]
+    prefix = np.cumsum(mat, axis=1, dtype=np.int16 if n < 2**15 - 1 else np.int32)
     # first position attaining the prefix minimum; the valid rotation
     # starts right after it and the dropped element is that down step
     first_min = np.argmin(prefix, axis=1)
-    idx = (first_min[:, None] + 1 + np.arange(2 * n, dtype=np.int64)) % m
-    return np.take_along_axis(mat, idx, axis=1)
+    doubled = np.concatenate([mat, mat], axis=1)
+    return sliding_window_view(doubled, 2 * n, axis=1)[np.arange(count), first_min + 1]
 
 
 def sample_dyck(n: int, rng: RngState) -> DyckPath:

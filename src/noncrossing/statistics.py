@@ -2,14 +2,18 @@
 
 Scalar functions operate on the domain objects.  The ``batch_*`` kernels
 compute the same statistics directly on arrays of Dyck-path steps (one
-row per sample, entries +1/-1) so Monte Carlo runs stay vectorized; the
-test suite pins them against the scalar versions.
+row per sample, entries +1/-1, every row a Dyck path) so Monte Carlo runs
+stay vectorized; the test suite pins them against the scalar versions.
+
+Blocks are the maximal down runs of the path.  The block-size kernels
+read them from one pass over the up positions: the down run after each
+up step is the gap to the next up step minus one.  The block count is
+the number of peaks.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .structures import DyckPath, NCPairing, NCPartition
 
@@ -92,39 +96,36 @@ def batch_num_blocks(steps: np.ndarray) -> np.ndarray:
     return peaks.sum(axis=1, dtype=np.int64)
 
 
-def _down_run_starts(down: np.ndarray) -> np.ndarray:
-    starts = down.copy()
-    starts[:, 1:] &= ~down[:, :-1]
-    return starts
+def _down_runs(steps: np.ndarray) -> np.ndarray:
+    """Down run after each up step, as a (rows, n) array.
+
+    A Dyck path holds exactly n up steps, so their flat positions reshape
+    to a fixed shape.  The gap to the next up step (or to the row's end),
+    minus 1, is the down run that follows; 0 when an up step follows.
+    """
+    rows, m = steps.shape
+    ups = np.flatnonzero(steps.ravel() > 0).reshape(rows, m // 2)
+    ends = np.arange(1, rows + 1, dtype=ups.dtype)[:, None] * m
+    return np.diff(ups, axis=1, append=ends) - 1
 
 
 def batch_count_blocks_of_size(steps: np.ndarray, size: int) -> np.ndarray:
-    """Blocks of exactly the given size = maximal down runs of that length."""
+    """Blocks of exactly the given size = maximal down runs of that length.
+
+    Rows must be Dyck paths.
+    """
     rows, m = steps.shape
     if size < 1 or size > m // 2:
         return np.zeros(rows, dtype=np.int64)
-    down = steps < 0
-    starts = _down_run_starts(down)
-
-    def at_least(length: int) -> np.ndarray:
-        if length > m:
-            return np.zeros(rows, dtype=np.int64)
-        window = sliding_window_view(down, length, axis=1).all(axis=2)
-        return (starts[:, : window.shape[1]] & window).sum(axis=1, dtype=np.int64)
-
-    return at_least(size) - at_least(size + 1)
+    return (_down_runs(steps) == size).sum(axis=1, dtype=np.int64)
 
 
 def batch_largest_block(steps: np.ndarray) -> np.ndarray:
-    """Longest down run per row."""
+    """Longest down run per row; rows must be Dyck paths."""
     rows, m = steps.shape
     if m == 0:
         return np.zeros(rows, dtype=np.int64)
-    down = steps < 0
-    idx = np.arange(m, dtype=np.int64)
-    last_up = np.maximum.accumulate(np.where(~down, idx, np.int64(-1)), axis=1)
-    run_len = np.where(down, idx[None, :] - last_up, 0)
-    return run_len.max(axis=1)
+    return _down_runs(steps).max(axis=1)
 
 
 def batch_width(steps: np.ndarray) -> np.ndarray:

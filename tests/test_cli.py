@@ -155,3 +155,24 @@ def test_non_positive_counts_rejected(capsys, flag, value):
 def test_unknown_quantity_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["exact", "nonsense", "--n", "3"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["covariance", "--n", "64", "--k", "2", "--l", "2"], "sizes must differ"),
+        (["width", "--n", "8"], "n must be >= 16"),
+        (["clt-size", "--n", "64", "--l", "0"], "need 1 <= l < n"),
+        (["sample", "nc", "--n", "0"], "n must be >= 1"),
+        (["singularity", "--k", "0"], "k must be >= 1"),
+        (["stats", "--partition", "{1,3}|{2,4}"], "has a crossing"),
+        (["exact", "mean-size", "--n", "3", "--l", "5"], "need 1 <= l <= n"),
+    ],
+)
+def test_invalid_sizes_exit_2_with_one_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1

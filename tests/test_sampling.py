@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -87,3 +88,47 @@ class TestCycleLemmaRotation:
             rotated = np.take_along_axis(arr, idx, axis=1)
             results.add(DyckPath(tuple(int(x) for x in rotated[0])).to_text())
         assert len(results) == 1
+
+
+def _rotate_by_index(n, count, gen):
+    """Reference sampler: the cycle-lemma rotation through a modular index array."""
+    m = 2 * n + 1
+    base = np.concatenate([np.ones(n, dtype=np.int8), np.full(n + 1, -1, dtype=np.int8)])
+    mat = np.tile(base, (count, 1))
+    gen.permuted(mat, axis=1, out=mat)
+    first_min = np.argmin(np.cumsum(mat, axis=1, dtype=np.int64), axis=1)
+    idx = (first_min[:, None] + 1 + np.arange(2 * n, dtype=np.int64)) % m
+    return np.take_along_axis(mat, idx, axis=1)
+
+
+class TestStreamIdentity:
+    """The sampled rows are part of every pinned report digest; a change to
+    the stream or the rotation must show up here, not first in a benchmark."""
+
+    # (n, seed, stream, count) -> SHA-256 of the int8 step bytes
+    PINNED = {
+        (1, 0, 0, 5): "c28e7ce5df0bb303e94d4e6c32b7f4f317cb24fc46a596a7488679a2e4c99071",
+        (1, 3, 1, 16): "9d1e8c9add3a121ec5930c225bcb73dce5cba304814f2c4f0cbd802a45d43e58",
+        (2, 0, 0, 5): "c46d005f8f11cb773c144eec8841507925e805a6646d4f0a510df65b9f9f7dbe",
+        (2, 7, 4, 4): "2062b809a9a6474fd45e26c0cbf4a70ad8ed06f3f054024b25912fbab9ad3013",
+        (3, 0, 0, 5): "2c524180f915f42d1bdfe57bc81ad46e098d04a0d805d0c06c7771a8b8a6d91f",
+        (3, 3, 1, 16): "a2a904c512a7e23165350a142c8b0f4db8155193b41e764353304946e15a9f50",
+        (2000, 0, 0, 5): "60d47332776ee47d4c0f41f762afbfb1b262d6e5e3c194288b98350a42f91bdc",
+        (2000, 3, 1, 16): "131da9839a1ece50837047a92c5a089bcb6cc6828b0bc0ac537af767b629e289",
+        (8192, 0, 0, 5): "93d049f7438e801d924a4adbd2ce4eab67870f39aa54fd289c45910d9d8f0cf8",
+        (8192, 7, 4, 4): "4000b2f413164f7db35d27fb43de4a33e823c5bbcddba94d54628783ea94e9be",
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_pinned_digest(self, key):
+        n, seed, stream, count = key
+        steps = sample_dyck_steps(n, count, RngState(seed, stream).generator())
+        assert steps.dtype == np.int8 and steps.shape == (count, 2 * n)
+        assert hashlib.sha256(steps.tobytes()).hexdigest() == self.PINNED[key]
+
+    @pytest.mark.parametrize("n", [2**15 - 2, 2**15 - 1])
+    def test_matches_index_rotation_at_prefix_width_switch(self, n):
+        # the prefix sum narrows to int16 below 2**15 - 1
+        got = sample_dyck_steps(n, 1, RngState(4, 2).generator())
+        want = _rotate_by_index(n, 1, RngState(4, 2).generator())
+        assert got.dtype == want.dtype and np.array_equal(got, want)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncrossing import bijections, sampling, statistics
 from noncrossing.structures import DyckPath, NCPairing, NCPartition, enumerate_dyck, enumerate_nc
@@ -111,3 +113,57 @@ class TestBatchKernels:
     def test_out_of_range_size_is_zero(self):
         steps = np.array([[1, 1, -1, -1]], dtype=np.int8)
         assert statistics.batch_count_blocks_of_size(steps, 5).tolist() == [0]
+
+
+def _assert_block_kernels_match_scalar(steps):
+    partitions = [
+        bijections.dyck_to_partition(DyckPath(tuple(int(x) for x in row)))
+        for row in steps
+    ]
+    assert statistics.batch_num_blocks(steps).tolist() == [
+        statistics.num_blocks(pi) for pi in partitions
+    ]
+    assert statistics.batch_largest_block(steps).tolist() == [
+        statistics.largest_block(pi) for pi in partitions
+    ]
+    for size in range(1, 5):
+        assert statistics.batch_count_blocks_of_size(steps, size).tolist() == [
+            statistics.block_size_histogram(pi)[size - 1] if size <= pi.n else 0
+            for pi in partitions
+        ]
+
+
+class TestBlockKernelProperties:
+    """Block kernels against the scalar statistics beyond the enumeration range."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=3000),
+        rows=st.integers(min_value=1, max_value=4),
+    )
+    def test_sampled_rows(self, seed, n, rows):
+        steps = sampling.sample_dyck_steps(n, rows, sampling.RngState(seed, 0).generator())
+        _assert_block_kernels_match_scalar(steps)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 1000])
+    def test_edge_rows(self, n):
+        nested = [1] * n + [-1] * n  # one block of size n
+        flat = [1, -1] * n  # n singletons
+        steps = np.array([nested, flat], dtype=np.int8)
+        _assert_block_kernels_match_scalar(steps)
+        assert statistics.batch_largest_block(steps).tolist() == [n, 1]
+        assert statistics.batch_count_blocks_of_size(steps, 1).tolist() == [
+            1 if n == 1 else 0,
+            n,
+        ]
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_no_rows(self, n):
+        steps = np.zeros((0, 2 * n), dtype=np.int8)
+        for values in (
+            statistics.batch_num_blocks(steps),
+            statistics.batch_largest_block(steps),
+            statistics.batch_count_blocks_of_size(steps, 1),
+        ):
+            assert values.shape == (0,) and values.dtype == np.int64
