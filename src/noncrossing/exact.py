@@ -244,41 +244,32 @@ def max_block_series(k: int, n_max: int, *, guard: int = SERIES_GUARD) -> ExactS
 
 
 def bounded_block_counts(n: int, ks: Iterable[int]) -> dict[int, int]:
-    """Count NC partitions of [n] with all blocks of size <= k, for many k.
+    """Count NC partitions of [n] with all blocks of size <= k, for each k.
 
-    Lagrange inversion gives the alternating sum
-    sum_j (-1)^j binom(n+1, j) binom(2n - j(k+1), n) / (n+1); one
-    descending sweep of binom(a, n) over a = 2n..n serves every k at once.
+    Lagrange inversion gives sum_{j<=J} (-1)^j t_j / (n+1), J = n // (k+1),
+    t_j = binom(n+1, j) binom(a_j, n), a_j = 2n - j(k+1).  Each k is summed
+    on its own from its cheap last term back to t_0, each term from the one
+    before by an exact integer division, never a big-by-big product:
+    t_{j-1} = t_j j perm(a_{j-1}, k+1) / ((n+2-j) perm(a_{j-1}-n, k+1)).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     ks = sorted(set(ks))
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
-    if n == 0:
-        return {k: 1 for k in ks}
-    # schedule[a] lists (k, j, sign); running binomials binom(n+1, j) are
-    # updated per k as its arithmetic progression is visited
-    schedule: dict[int, list[int]] = {}
-    for idx, k in enumerate(ks):
-        for j in range(n // (k + 1) + 1):
-            schedule.setdefault(2 * n - j * (k + 1), []).append(idx)
-    sums = [0] * len(ks)
-    next_j = [0] * len(ks)
-    running_binom = [1] * len(ks)  # binom(n+1, j) for the next j of each k
-    value = math.comb(2 * n, n)
-    for a in range(2 * n, n - 1, -1):
-        for idx in schedule.get(a, ()):
-            j = next_j[idx]
-            term = running_binom[idx] * value
-            sums[idx] += -term if j % 2 else term
-            running_binom[idx] = running_binom[idx] * (n + 1 - j) // (j + 1)
-            next_j[idx] = j + 1
-        if a > n:
-            value = value * (a - n) // a
     out = {}
-    for idx, k in enumerate(ks):
-        q, r = divmod(sums[idx], n + 1)
+    for k in ks:
+        last = n // (k + 1)
+        a = 2 * n - last * (k + 1)
+        term = math.comb(n + 1, last) * math.comb(a, n)
+        total = -term if last % 2 else term
+        for j in range(last, 0, -1):
+            a += k + 1
+            term = term * (j * math.perm(a, k + 1)) // (
+                (n + 2 - j) * math.perm(a - n, k + 1)
+            )
+            total += term if j % 2 else -term
+        q, r = divmod(total, n + 1)
         if r:
             raise ConsistencyError("bounded-block count is not integral")
         out[k] = q

@@ -386,10 +386,19 @@ def _covariance(
 
 
 def _exact_largest_block_table(n: int, k_hi: int) -> dict[int, float]:
-    """Exact CDF values P[largest <= k] for k = 1..k_hi, as floats."""
-    counts = exact.bounded_block_counts(n, range(1, k_hi + 1))
+    """Exact CDF values P[largest <= k] for k = 1..k_hi, as floats.
+
+    Walks k down from k_hi and stops at the first value that rounds to 0.0:
+    the CDF and rounding are monotone, so every smaller k rounds to 0.0.
+    int / int rounds correctly, as float(Fraction(...)) does.
+    """
     total = exact.catalan(n)
-    return {k: float(Fraction(c, total)) for k, c in counts.items()}
+    table = {}
+    for k in range(k_hi, 0, -1):
+        table[k] = exact.bounded_block_count(n, k) / total
+        if table[k] == 0.0:
+            break
+    return {k: table.get(k, 0.0) for k in range(1, k_hi + 1)}
 
 
 def _outside_window(largest, n: int, epsilon: float) -> np.ndarray:

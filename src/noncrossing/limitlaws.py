@@ -344,8 +344,7 @@ def asymptotic_count_check(k: int, n: int) -> CountFitReport:
     if n < 16:
         raise ValueError("need n >= 16 for a stable fit")
     m1, m2 = n, n // 2
-    counts = exact.bounded_block_counts(m1 + 1, [k])
-    c_m1_next = counts[k]
+    c_m1_next = exact.bounded_block_count(m1 + 1, k)
     c_m1 = exact.bounded_block_count(m1, k)
     c_m2_next = exact.bounded_block_count(m2 + 1, k)
     c_m2 = exact.bounded_block_count(m2, k)

@@ -129,38 +129,26 @@ def batch_largest_block(steps: np.ndarray) -> np.ndarray:
 
 
 def batch_width(steps: np.ndarray) -> np.ndarray:
-    """Width per row, straight from the path.
+    """Width per row, straight from the path; rows must be Dyck paths.
 
-    Uses the doubling picture: the width at gap x equals the number of
-    non-singleton blocks opened at or before x and not yet closed, so it
-    suffices to classify each element as the minimum or maximum of a
-    non-singleton block and take a running-sum maximum.  The up/down
-    matching needed for that classification comes from sorting step
-    positions by the level boundary they cross: crossings of one boundary
-    alternate up/down, so after the sort consecutive entries are matched
-    pairs.
+    The width is the running maximum of is_min - is_max over the elements
+    (a singleton is both).  An up step from level h and the down step that
+    matches it both cross level h, and the crossings of one level alternate
+    up, down; a stable sort of positions by level (a radix sort while int16
+    holds the levels) thus lists each up step right before its match.  An
+    up step is its block's maximum iff a down step follows it, and its
+    minimum iff its match ends the row or precedes an up step.
     """
     rows, m = steps.shape
-    n = m // 2
-    if n == 0:
+    if m == 0:
         return np.zeros(rows, dtype=np.int64)
+    dt = np.int16 if m < 2**16 else np.int32
     up = steps > 0
-    after = np.cumsum(steps, axis=1, dtype=np.int32)
-    before = after - steps
-    boundary = np.where(up, before, before - 1).astype(np.int64)
-    order = np.argsort(boundary * m + np.arange(m, dtype=np.int64), axis=1)
-    up_pos = order[:, 0::2]
-    down_pos = order[:, 1::2]
-    is_max = down_pos == up_pos + 1
-    nxt = down_pos + 1
-    at_end = nxt == m
-    next_is_up = np.take_along_axis(up, np.where(at_end, m - 1, nxt), axis=1)
-    is_min = at_end | next_is_up
-    # singletons are both min and max and cancel to zero net contribution
-    net = is_min.astype(np.int32) - is_max.astype(np.int32)
-    label = np.take_along_axis(np.cumsum(up, axis=1, dtype=np.int64), up_pos, axis=1)
-    per_element = np.zeros((rows, n), dtype=np.int32)
-    np.put_along_axis(per_element, label - 1, net, axis=1)
-    profile = np.cumsum(per_element, axis=1)
-    return profile.max(axis=1).astype(np.int64)
-
+    level = np.cumsum(steps, axis=1, dtype=dt) - up
+    order = np.argsort(level, axis=1, kind="stable")
+    closes = np.concatenate([up[:, 1:], np.ones((rows, 1), dtype=bool)], axis=1)
+    net = np.zeros((rows, m), dtype=np.int8)
+    is_min = np.take_along_axis(closes, order[:, 1::2], axis=1)
+    np.put_along_axis(net, order[:, 0::2], is_min, axis=1)
+    net[:, :-1] -= up[:, :-1] & ~up[:, 1:]
+    return np.cumsum(net, axis=1, dtype=dt).max(axis=1).astype(np.int64)

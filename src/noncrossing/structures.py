@@ -111,7 +111,10 @@ class NCPartition:
             part = part.strip()
             if not (part.startswith("{") and part.endswith("}")):
                 raise ValidationError(f"malformed block {part!r}")
-            blocks.append(tuple(int(t) for t in part[1:-1].split(",")))
+            try:
+                blocks.append(tuple(int(t) for t in part[1:-1].split(",")))
+            except ValueError:
+                raise ValidationError(f"malformed block {part!r}") from None
         n = max(max(b) for b in blocks)
         return cls(n, tuple(blocks))
 

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noncrossing import bijections, statistics
+from noncrossing.sampling import RngState, sample_nc_partition
 from noncrossing.structures import (
     BinaryTree,
     DyckPath,
@@ -162,3 +165,20 @@ def test_peak_block_transport(n):
     for p in enumerate_dyck(n):
         pi = bijections.dyck_to_partition(p)
         assert statistics.dyck_peaks(p) == statistics.num_blocks(pi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=2000),
+)
+def test_round_trips_and_width_transport_sampled(seed, n):
+    # the recursive binary-tree maps are left to the exhaustive tests
+    pi = sample_nc_partition(n, RngState(seed, 0))
+    path = bijections.partition_to_dyck(pi)
+    assert bijections.dyck_to_partition(path) == pi
+    assert bijections.partition_to_dyck(bijections.dyck_to_partition(path)) == path
+    doubled = bijections.double(pi)
+    assert bijections.undouble(doubled) == pi
+    height = statistics.dyck_height(bijections.pairing_to_dyck(doubled))
+    assert statistics.width(pi) == height // 2

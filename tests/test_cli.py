@@ -167,6 +167,7 @@ def test_unknown_quantity_rejected(capsys):
         (["singularity", "--k", "0"], "k must be >= 1"),
         (["stats", "--partition", "{1,3}|{2,4}"], "has a crossing"),
         (["exact", "mean-size", "--n", "3", "--l", "5"], "need 1 <= l <= n"),
+        (["stats", "--partition", "{}"], "malformed block '{}'"),
     ],
 )
 def test_invalid_sizes_exit_2_with_one_line(capsys, argv, message):

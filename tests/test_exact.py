@@ -1,9 +1,10 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from noncrossing import exact, statistics
+from noncrossing import exact, harness, statistics
 from noncrossing.series import ExactSeries, QPoly
 from noncrossing.structures import enumerate_nc
 
@@ -210,6 +211,71 @@ class TestMaxBlockSeries:
         for n in (17, 40, 173):
             for k in (1, 2, 5, 11):
                 assert exact.bounded_block_count(n, k) == direct(n, k)
+
+
+def _shared_sweep_counts(n, ks):
+    """Bounded-block counts for many k from one descending sweep of binom(a, n).
+
+    The reference for ``exact.bounded_block_counts``: a = 2n..n is visited
+    once and every k picks up its terms binom(n+1, j) binom(a, n) at
+    a = 2n - j(k+1) as the sweep passes.
+    """
+    ks = sorted(set(ks))
+    if n == 0:
+        return {k: 1 for k in ks}
+    schedule = {}
+    for idx, k in enumerate(ks):
+        for j in range(n // (k + 1) + 1):
+            schedule.setdefault(2 * n - j * (k + 1), []).append(idx)
+    sums = [0] * len(ks)
+    next_j = [0] * len(ks)
+    running_binom = [1] * len(ks)
+    value = math.comb(2 * n, n)
+    for a in range(2 * n, n - 1, -1):
+        for idx in schedule.get(a, ()):
+            j = next_j[idx]
+            term = running_binom[idx] * value
+            sums[idx] += -term if j % 2 else term
+            running_binom[idx] = running_binom[idx] * (n + 1 - j) // (j + 1)
+            next_j[idx] = j + 1
+        if a > n:
+            value = value * (a - n) // a
+    out = {}
+    for idx, k in enumerate(ks):
+        assert sums[idx] % (n + 1) == 0
+        out[k] = sums[idx] // (n + 1)
+    return out
+
+
+class TestBoundedBlockCounts:
+    def test_matches_shared_sweep_every_k_small_n(self):
+        for n in range(201):
+            ks = range(1, n + 2)
+            assert exact.bounded_block_counts(n, ks) == _shared_sweep_counts(n, ks), n
+
+    def test_matches_shared_sweep_large_n(self):
+        ks = range(1, 21)
+        assert exact.bounded_block_counts(2048, ks) == _shared_sweep_counts(2048, ks)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            exact.bounded_block_counts(-1, [1])
+        with pytest.raises(ValueError):
+            exact.bounded_block_counts(5, [0, 1])
+
+    @pytest.mark.parametrize("n, zeros", [(1024, 1), (4096, 2), (8192, 3)])
+    def test_walked_table_equals_full_table(self, n, zeros):
+        # the walk stops at the first k whose CDF rounds to 0.0; the full
+        # table rounds every k from exact counts
+        k_hi = n.bit_length() - 1 + 30
+        total = exact.catalan(n)
+        full = {
+            k: float(Fraction(c, total))
+            for k, c in _shared_sweep_counts(n, range(1, k_hi + 1)).items()
+        }
+        walked = harness._exact_largest_block_table(n, k_hi)
+        assert list(walked.items()) == list(full.items())
+        assert sum(1 for v in full.values() if v == 0.0) == zeros
 
 
 class TestLargestBlockCdf:

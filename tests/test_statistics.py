@@ -131,10 +131,44 @@ def _assert_block_kernels_match_scalar(steps):
             statistics.block_size_histogram(pi)[size - 1] if size <= pi.n else 0
             for pi in partitions
         ]
+    assert statistics.batch_width(steps).tolist() == [
+        statistics.width(pi) for pi in partitions
+    ]
+
+
+def _argsort_width(steps):
+    """Width kernel matching level crossings by an int64 argsort key.
+
+    The reference for ``statistics.batch_width``: positions sorted by
+    boundary * m + position, then the net min/max flags scattered onto
+    element labels.
+    """
+    rows, m = steps.shape
+    n = m // 2
+    if n == 0:
+        return np.zeros(rows, dtype=np.int64)
+    up = steps > 0
+    after = np.cumsum(steps, axis=1, dtype=np.int32)
+    before = after - steps
+    boundary = np.where(up, before, before - 1).astype(np.int64)
+    order = np.argsort(boundary * m + np.arange(m, dtype=np.int64), axis=1)
+    up_pos = order[:, 0::2]
+    down_pos = order[:, 1::2]
+    is_max = down_pos == up_pos + 1
+    nxt = down_pos + 1
+    at_end = nxt == m
+    next_is_up = np.take_along_axis(up, np.where(at_end, m - 1, nxt), axis=1)
+    is_min = at_end | next_is_up
+    net = is_min.astype(np.int32) - is_max.astype(np.int32)
+    label = np.take_along_axis(np.cumsum(up, axis=1, dtype=np.int64), up_pos, axis=1)
+    per_element = np.zeros((rows, n), dtype=np.int32)
+    np.put_along_axis(per_element, label - 1, net, axis=1)
+    return np.cumsum(per_element, axis=1).max(axis=1).astype(np.int64)
 
 
 class TestBlockKernelProperties:
-    """Block kernels against the scalar statistics beyond the enumeration range."""
+    """Block and width kernels against the scalar statistics beyond the
+    enumeration range."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -157,6 +191,7 @@ class TestBlockKernelProperties:
             1 if n == 1 else 0,
             n,
         ]
+        assert statistics.batch_width(steps).tolist() == [1 if n >= 2 else 0, 0]
 
     @pytest.mark.parametrize("n", [0, 1, 7])
     def test_no_rows(self, n):
@@ -165,5 +200,18 @@ class TestBlockKernelProperties:
             statistics.batch_num_blocks(steps),
             statistics.batch_largest_block(steps),
             statistics.batch_count_blocks_of_size(steps, 1),
+            statistics.batch_width(steps),
         ):
             assert values.shape == (0,) and values.dtype == np.int64
+
+    def test_width_without_steps(self):
+        values = statistics.batch_width(np.zeros((3, 0), dtype=np.int8))
+        assert values.tolist() == [0, 0, 0] and values.dtype == np.int64
+
+    @pytest.mark.parametrize("n", [2000, 2**15 - 1, 2**15])
+    def test_width_matches_argsort_kernel_at_level_dtype_switch(self, n):
+        # levels fit int16 below n = 2**15 and take int32 from there on
+        steps = sampling.sample_dyck_steps(n, 1, sampling.RngState(n, 3).generator())
+        new, old = statistics.batch_width(steps), _argsort_width(steps)
+        assert new.dtype == old.dtype == np.int64
+        assert new.tolist() == old.tolist()

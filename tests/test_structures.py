@@ -80,6 +80,14 @@ class TestNCPartition:
     def test_empty(self):
         assert NCPartition(0, ()).blocks == ()
 
+    @pytest.mark.parametrize("text", ["{}", "{1,x}", "{1,,2}", "{1}|{}"])
+    def test_malformed_block_rejected(self, text):
+        with pytest.raises(ValidationError, match="malformed block"):
+            NCPartition.from_text(text)
+
+    def test_spaces_inside_blocks_allowed(self):
+        assert NCPartition.from_text("{1, 2}| {3}").to_text() == "{1,2}|{3}"
+
 
 class TestDyckPath:
     def test_validation(self):
