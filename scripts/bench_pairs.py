@@ -16,7 +16,10 @@ per-call report digests of the run), and per workload and end-to-end
 metric: each side's median and quartiles, the number of pairs the change
 won (by the direction ``BENCHMARK.json`` declares; ties count for
 neither side), and whether both sides' report digests were equal in
-every pair.  ``BENCHMARK.json`` is read from the change checkout.
+every pair.  ``all_correct`` says whether every run of both sides passed
+its output check; ``parent_correct`` and ``change_correct`` count the
+passing runs of each side, so that a fault of the parent reads as the
+parent's.  ``BENCHMARK.json`` is read from the change checkout.
 """
 
 from __future__ import annotations
@@ -49,6 +52,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         "digests": [call["digest"] for call in info.get("calls", [])],
         "stderr_tail": proc.stderr.strip().splitlines()[-3:],
     }
+
+
+def correct(run: dict) -> bool:
+    """Whether a run's output check passed with no failed call."""
+    return run["result"]["correct"] and run["result"]["failed"] == 0
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -120,10 +128,10 @@ def main(argv: list[str] | None = None) -> int:
             "runs": pairs,
             "summary": summarise(pairs, better),
             "all_correct": all(
-                p[side]["result"]["correct"] and p[side]["result"]["failed"] == 0
-                for p in pairs
-                for side in ("parent", "change")
+                correct(p[side]) for p in pairs for side in ("parent", "change")
             ),
+            "parent_correct": sum(correct(p["parent"]) for p in pairs),
+            "change_correct": sum(correct(p["change"]) for p in pairs),
             "digests_equal_every_pair": all(
                 p["parent"]["digests"] == p["change"]["digests"] for p in pairs
             ),

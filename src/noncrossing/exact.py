@@ -119,32 +119,53 @@ def _check_poly_guard(n: int, guard: int) -> None:
         raise ValueError(f"n={n} above guard {guard}; raise the guard explicitly")
 
 
+def _unpack(value: int, bits: int, count: int) -> list[int]:
+    """Split a packed integer into its ``count`` base-2^bits digits, lowest first.
+
+    Raises ConsistencyError if anything is left above the top digit, which
+    a negative value always has (it shifts down to -1): either means a
+    digit did not fit its width.
+    """
+    if value >> (bits * count):
+        raise ConsistencyError("packed polynomial does not fit its digits")
+    raw = value.to_bytes((bits * count + 7) // 8, "little")
+    mask = (1 << bits) - 1
+    digits = []
+    for low in range(0, bits * count, bits):
+        chunk = int.from_bytes(raw[low >> 3 : (low + bits + 7) >> 3], "little")
+        digits.append((chunk >> (low & 7)) & mask)
+    return digits
+
+
 def blocks_polynomial(n: int, l: int, *, guard: int = POLYNOMIAL_GUARD) -> QPoly:
     """Counting polynomial of size-l blocks over NC partitions of [n].
 
-    The q^k coefficient counts partitions with exactly k blocks of size l.
-    Extracted by Lagrange inversion: the coefficients sit inside
-    [u^n] (1/(1-u) + u^l (q-1))^(n+1) / (n+1), expanded binomially.
+    The q^m coefficient counts partitions with exactly m blocks of size l.
+    Lagrange inversion on (1/(1-u) + u^l (q-1))^(n+1) gives
+    (n+1) Count(q) = W(q-1), W(x) = sum_j w_j x^j with
+    w_j = binom(n+1, j) binom(2n-j(l+1), n-jl), j = 0..n//l.  The Taylor
+    shift is taken by Horner on one packed integer, the polynomial
+    evaluated at X = 2^B (Kronecker substitution): each step is
+    P <- P (X - 1) + w_j.  Every digit of the result is (n+1) Count_m,
+    which lies in [0, (n+1) Catalan(n)] = [0, binom(2n, n)], so with
+    B = bitlength(binom(2n, n)) + 1 the digits unpack exactly.
     """
     _check_poly_guard(n, guard)
     if not 1 <= l <= max(n, 1):
         raise ValueError("need 1 <= l <= n")
     if n == 0:
         return QPoly.one()
-    acc = [0] * (n // l + 1)
-    for j in range(n // l + 1):
+    bits = math.comb(2 * n, n).bit_length() + 1
+    packed = 0
+    for j in range(n // l, -1, -1):
         weight = math.comb(n + 1, j) * _binom(2 * n - j * (l + 1), n - j * l)
-        if not weight:
-            continue
-        # distribute weight * (q-1)^j over powers of q
-        for i in range(j + 1):
-            acc[i] += weight * math.comb(j, i) * (-1 if (j - i) % 2 else 1)
+        packed = (packed << bits) - packed + weight
     coeffs = []
-    for value in acc:
+    for value in _unpack(packed, bits, n // l + 1):
         q, r = divmod(value, n + 1)
         if r:
             raise ConsistencyError("counting polynomial is not integral")
-        coeffs.append(Fraction(q))
+        coeffs.append(q)
     return QPoly(coeffs)
 
 
@@ -190,24 +211,43 @@ def joint_polynomial(
 def singleton_gf_series(order: int, *, guard: int = POLYNOMIAL_GUARD) -> ExactSeries:
     """Closed-form generating function of singleton counts, as a series.
 
-    Expands (1 + (1-q)z - sqrt(1 - 2(1+q)z + (q^2+2q-3)z^2)) / (2z(1+(1-q)z))
-    with polynomial-in-q coefficients; the z^n coefficient must equal
-    blocks_polynomial(n, 1), which the tests enforce coefficient by
-    coefficient.
+    Expands (1 + (1-q)z - sqrt(R)) / (2z(1+(1-q)z)),
+    R = 1 - 2(1+q)z + (q^2+2q-3)z^2, over Z[q]; the z^n coefficient must
+    equal blocks_polynomial(n, 1), which criterion 9 and the tests enforce
+    coefficient by coefficient.  Each polynomial in q is one packed
+    integer at X = 2^B, B = 2 order + 16, since every count is at most
+    Catalan(order) < 4^order.  sqrt(R) = sum s_k z^k comes from
+    R S' = R' S / 2, which with R's two nonzero terms r1, r2 reads
+    2(k+1) s_{k+1} = (1-2k) r1 s_k + 2(2-k) r2 s_{k-1}; the quotient by
+    1 + (1-q)z is taken by forward substitution.  Every division must be
+    exact, or ConsistencyError is raised.
     """
     _check_poly_guard(order, guard)
-    work = order + 1
-    one = QPoly.one()
-    zero = QPoly.zero()
-    radicand = ExactSeries(
-        [one, QPoly((-2, -2)), QPoly((-3, 2, 1))] + [zero] * (work - 2), work
-    )
-    root = radicand.sqrt()
-    numerator = [one - root.coefficient(0), QPoly((1, -1)) - root.coefficient(1)]
-    numerator += [-root.coefficient(i) for i in range(2, work + 1)]
-    shifted = ExactSeries(numerator, work).shift_down()
-    denominator = ExactSeries([one, QPoly((1, -1))] + [zero] * (order - 1), order)
-    return (shifted / denominator).scale(Fraction(1, 2))
+    bits = 2 * order + 16
+    r1 = -2 - (2 << bits)
+    r2 = -3 + (2 << bits) + (1 << 2 * bits)
+    root = [1, r1 // 2]
+    for k in range(1, order + 1):
+        q, r = divmod(
+            (1 - 2 * k) * r1 * root[k] + 2 * (2 - k) * r2 * root[k - 1], 2 * (k + 1)
+        )
+        if r:
+            raise ConsistencyError("square-root coefficient is not integral")
+        root.append(q)
+    # 2 F(z) (1 + (1-q)z) = (1 + (1-q)z - sqrt(R)) / z; the z^0 term is 2
+    one_minus_q = 1 - (1 << bits)
+    coeffs = []
+    twice = 0
+    for k in range(order + 1):
+        twice = (2 if k == 0 else -root[k + 1]) - one_minus_q * twice
+        halves = []
+        for value in _unpack(twice, bits, k + 1):
+            half, odd = divmod(value, 2)
+            if odd:
+                raise ConsistencyError("singleton series coefficient is not integral")
+            halves.append(half)
+        coeffs.append(QPoly(halves))
+    return ExactSeries(coeffs, order)
 
 
 def max_block_series(k: int, n_max: int, *, guard: int = SERIES_GUARD) -> ExactSeries:

@@ -99,6 +99,63 @@ class TestAsymptoticForms:
         assert all(r < 1.0 for r in remainders)
 
 
+def _double_loop_blocks_polynomial(n, l):
+    """Counting polynomial of size-l blocks by expanding each (q-1)^j term.
+
+    The reference for ``exact.blocks_polynomial``: the same Lagrange
+    weights, distributed over the powers of q one binomial at a time.
+    """
+    acc = [0] * (n // l + 1)
+    for j in range(n // l + 1):
+        weight = math.comb(n + 1, j) * math.comb(2 * n - j * (l + 1), n - j * l)
+        for i in range(j + 1):
+            acc[i] += weight * math.comb(j, i) * (-1 if (j - i) % 2 else 1)
+    assert all(value % (n + 1) == 0 for value in acc)
+    return QPoly([value // (n + 1) for value in acc])
+
+
+def _series_singleton_gf(order):
+    """Singleton closed form expanded with ``ExactSeries`` over QPoly.
+
+    The reference for ``exact.singleton_gf_series``: series square root,
+    shift and long division on rational polynomial coefficients.
+    """
+    work = order + 1
+    one = QPoly.one()
+    zero = QPoly.zero()
+    radicand = ExactSeries(
+        [one, QPoly((-2, -2)), QPoly((-3, 2, 1))] + [zero] * (work - 2), work
+    )
+    root = radicand.sqrt()
+    numerator = [one - root.coefficient(0), QPoly((1, -1)) - root.coefficient(1)]
+    numerator += [-root.coefficient(i) for i in range(2, work + 1)]
+    shifted = ExactSeries(numerator, work).shift_down()
+    denominator = ExactSeries([one, QPoly((1, -1))] + [zero] * (order - 1), order)
+    return (shifted / denominator).scale(Fraction(1, 2))
+
+
+class TestUnpack:
+    def test_round_trip(self):
+        for bits in (1, 7, 8, 13, 64, 65):
+            digits = [(i * 2654435761) % (1 << bits) for i in range(17)]
+            packed = sum(d << (bits * i) for i, d in enumerate(digits))
+            assert exact._unpack(packed, bits, len(digits)) == digits
+        assert exact._unpack(0, 5, 3) == [0, 0, 0]
+
+    def test_leftover_above_top_digit_rejected(self):
+        with pytest.raises(exact.ConsistencyError):
+            exact._unpack(1 << 30, 10, 3)
+        with pytest.raises(exact.ConsistencyError):
+            exact._unpack((5 << 20) + 3, 10, 2)
+
+    def test_negative_rejected(self):
+        with pytest.raises(exact.ConsistencyError):
+            exact._unpack(-1, 10, 3)
+        # q - q^2 at X = 2^10: a negative top digit makes the value negative
+        with pytest.raises(exact.ConsistencyError):
+            exact._unpack((1 << 10) - (1 << 20), 10, 3)
+
+
 class TestBlocksPolynomial:
     def test_frozen_small(self):
         assert exact.blocks_polynomial(3, 1) == QPoly((1, 3, 0, 1))
@@ -125,6 +182,31 @@ class TestBlocksPolynomial:
         with pytest.raises(ValueError, match="guard"):
             exact.blocks_polynomial(201, 1)
         exact.blocks_polynomial(201, 1, guard=201)
+
+    def test_matches_double_loop(self):
+        for n in range(1, 61):
+            for l in range(1, n + 1):
+                assert exact.blocks_polynomial(n, l) == \
+                    _double_loop_blocks_polynomial(n, l), (n, l)
+
+    def test_non_integral_weights_rejected(self, monkeypatch):
+        binom = exact._binom
+        monkeypatch.setattr(exact, "_binom", lambda a, b: binom(a, b) + 1)
+        for n in range(1, 8):
+            with pytest.raises(exact.ConsistencyError, match="not integral"):
+                exact.blocks_polynomial(n, 1)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_moments_at_scale(self, l):
+        n = 2000
+        poly = exact.blocks_polynomial(n, l, guard=n)
+        counts = [int(c) for c in poly.coeffs]
+        total = exact.catalan(n)
+        assert sum(counts) == total
+        assert Fraction(sum(m * c for m, c in enumerate(counts)), total) == \
+            exact.mean_blocks_of_size(n, l)
+        assert Fraction(sum(m * (m - 1) * c for m, c in enumerate(counts)), total) == \
+            exact.second_factorial_moment(n, l)
 
 
 class TestJointPolynomial:
@@ -170,6 +252,10 @@ class TestSingletonSeries:
         s = exact.singleton_gf_series(10)
         for n in range(11):
             assert s.coefficient(n).eval(Fraction(1)) == exact.catalan(n)
+
+    @pytest.mark.parametrize("order", [*range(1, 41), 200])
+    def test_matches_exact_series_oracle(self, order):
+        assert exact.singleton_gf_series(order) == _series_singleton_gf(order)
 
 
 class TestMaxBlockSeries:
