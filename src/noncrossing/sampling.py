@@ -8,6 +8,16 @@ strided window of the row concatenated with itself, dropping the final
 down step, which yields a Dyck path; every path has exactly 2n+1
 preimages, so the output is uniform without any big-integer arithmetic.
 
+The shuffle is numpy's Fisher-Yates (``Generator.permuted``) run on
+the rows of one reused ``np.intp`` scratch buffer of about
+``_SHUFFLE_BUFFER_ELEMENTS`` entries, a sub-block of rows at a time,
+then cast into an int8 array that holds each row twice.  numpy swaps
+pointer-sized elements on a compiled fast path and any other size
+through a generic byte copy, so the wide dtype shuffles faster than
+int8.  The swap indices come from the generator alone and do not depend
+on the dtype, so the rows, and the generator's state afterwards, are the
+same as shuffling the rows as int8.
+
 Randomness comes from numpy's Philox counter-based generator keyed by
 (seed, stream): identical keys reproduce identical samples on every
 platform, and distinct streams are independent, which is what the
@@ -31,6 +41,10 @@ _MASK64 = (1 << 64) - 1
 # threads consume the units.
 SAMPLES_PER_STREAM = 4096
 
+# Size of the shuffle scratch buffer (about 1 MB of np.intp); a sub-block
+# holds as many whole rows as fit, and at least one.
+_SHUFFLE_BUFFER_ELEMENTS = 1 << 17
+
 
 @dataclass(frozen=True)
 class RngState:
@@ -48,17 +62,25 @@ def sample_dyck_steps(n: int, count: int, gen: np.random.Generator) -> np.ndarra
     """Draw ``count`` uniform Dyck paths as a (count, 2n) array of +-1 steps."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = np.concatenate(
-        [np.ones(n, dtype=np.int8), np.full(n + 1, -1, dtype=np.int8)]
-    )
-    mat = np.tile(base, (count, 1))
-    gen.permuted(mat, axis=1, out=mat)
+    m = 2 * n + 1
+    block_rows = max(1, _SHUFFLE_BUFFER_ELEMENTS // m)
+    buf = np.empty((min(count, block_rows), m), dtype=np.intp)
+    # each shuffled row of n ups and n+1 downs, followed by itself
+    doubled = np.empty((count, 2 * m), dtype=np.int8)
+    for start in range(0, count, block_rows):
+        block = buf[: min(block_rows, count - start)]
+        block[:, :n] = 1
+        block[:, n:] = -1
+        gen.permuted(block, axis=1, out=block)
+        doubled[start : start + len(block), :m] = block
+    doubled[:, m:] = doubled[:, :m]
     # partial sums lie in [-(n+1), n]
-    prefix = np.cumsum(mat, axis=1, dtype=np.int16 if n < 2**15 - 1 else np.int32)
+    prefix = np.cumsum(
+        doubled[:, :m], axis=1, dtype=np.int16 if n < 2**15 - 1 else np.int32
+    )
     # first position attaining the prefix minimum; the valid rotation
     # starts right after it and the dropped element is that down step
     first_min = np.argmin(prefix, axis=1)
-    doubled = np.concatenate([mat, mat], axis=1)
     return sliding_window_view(doubled, 2 * n, axis=1)[np.arange(count), first_min + 1]
 
 

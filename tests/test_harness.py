@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import goodness_of_fit as gof
 from noncrossing import harness, limitlaws, statistics
 from noncrossing.sampling import RngState
 from noncrossing.structures import enumerate_nc
@@ -16,7 +17,7 @@ class TestKsDistance:
 
     def test_quantile_construction(self):
         size = 999
-        quantiles = [harness.normal_quantile((i + 1) / (size + 1)) for i in range(size)]
+        quantiles = [gof.normal_quantile((i + 1) / (size + 1)) for i in range(size)]
         d = harness.ks_distance(quantiles, limitlaws.std_normal_cdf)
         assert d <= 1.0 / (size + 1) + 1e-9
 
@@ -37,20 +38,20 @@ class TestKsDistance:
 
 class TestChiSquare:
     def test_statistic(self):
-        assert harness.chi_square_statistic([5, 5], [5, 5]) == 0.0
-        assert harness.chi_square_statistic([6, 4], [5, 5]) == pytest.approx(0.4)
+        assert gof.chi_square_statistic([5, 5], [5, 5]) == 0.0
+        assert gof.chi_square_statistic([6, 4], [5, 5]) == pytest.approx(0.4)
 
     def test_critical_values(self):
         # classic table entries at the 0.1% level; the cube-root
         # approximation overshoots slightly at tiny df, which only makes
         # the uniformity tests more conservative
-        assert harness.chi_square_critical(1, 1e-3) == pytest.approx(10.83, rel=0.04)
-        assert harness.chi_square_critical(10, 1e-3) == pytest.approx(29.59, rel=0.01)
-        assert harness.chi_square_critical(1, 1e-3) > 10.83
+        assert gof.chi_square_critical(1, 1e-3) == pytest.approx(10.83, rel=0.04)
+        assert gof.chi_square_critical(10, 1e-3) == pytest.approx(29.59, rel=0.01)
+        assert gof.chi_square_critical(1, 1e-3) > 10.83
 
     def test_quantile_inverse(self):
         for p in (0.001, 0.5, 0.975, 0.999):
-            x = harness.normal_quantile(p)
+            x = gof.normal_quantile(p)
             assert limitlaws.std_normal_cdf(x) == pytest.approx(p, abs=1e-9)
 
 

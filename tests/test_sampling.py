@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from noncrossing import harness
+import goodness_of_fit as gof
+from noncrossing import sampling
 from noncrossing.sampling import RngState, sample_dyck, sample_dyck_steps, sample_nc_partition
 from noncrossing.structures import DyckPath, enumerate_dyck
 
@@ -57,8 +58,8 @@ class TestUniformity:
         counts = Counter(paths[tuple(int(x) for x in row)] for row in steps)
         observed = [counts.get(i, 0) for i in range(len(paths))]
         expected = [samples / len(paths)] * len(paths)
-        stat = harness.chi_square_statistic(observed, expected)
-        critical = harness.chi_square_critical(len(paths) - 1, 1e-3)
+        stat = gof.chi_square_statistic(observed, expected)
+        critical = gof.chi_square_critical(len(paths) - 1, 1e-3)
         assert stat < critical, (n, stat, critical)
 
     def test_n3_partitions_uniform(self):
@@ -132,3 +133,44 @@ class TestStreamIdentity:
         got = sample_dyck_steps(n, 1, RngState(4, 2).generator())
         want = _rotate_by_index(n, 1, RngState(4, 2).generator())
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _same_state(a, b):
+    """Equality of two ``bit_generator.state`` values, which hold arrays."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+def _block_rows(n):
+    return sampling._SHUFFLE_BUFFER_ELEMENTS // (2 * n + 1)
+
+
+class TestScratchBufferShuffle:
+    """Rows are shuffled in sub-blocks of an np.intp buffer; the rows and the
+    generator state afterwards must equal one int8 shuffle of all rows."""
+
+    CASES = [
+        (1, 1),
+        (2000, 1),
+        (300, _block_rows(300) - 3),  # ends partway through the first sub-block
+        (300, 2 * _block_rows(300) + 5),  # spans three sub-blocks, last one partial
+        (2000, 3 * _block_rows(2000)),  # ends exactly on a sub-block boundary
+        (2**16, 3),  # 2n+1 > buffer: one row per sub-block
+        (2**15 - 2, 3),  # int16 prefix sums
+        (2**15 - 1, 3),  # int32 prefix sums
+    ]
+
+    def test_cases_reach_the_sub_block_shapes(self):
+        assert _block_rows(300) > 3 and _block_rows(2000) > 1
+        assert 2 * 2**16 + 1 > sampling._SHUFFLE_BUFFER_ELEMENTS
+
+    @pytest.mark.parametrize("n,count", CASES)
+    def test_rows_and_generator_state_match_int8_reference(self, n, count):
+        gen, ref_gen = RngState(11, 3).generator(), RngState(11, 3).generator()
+        got = sample_dyck_steps(n, count, gen)
+        want = _rotate_by_index(n, count, ref_gen)
+        assert got.dtype == want.dtype == np.int8 and got.shape == (count, 2 * n)
+        assert np.array_equal(got, want)
+        assert _same_state(gen.bit_generator.state, ref_gen.bit_generator.state)
+        assert gen.integers(1 << 62) == ref_gen.integers(1 << 62)
