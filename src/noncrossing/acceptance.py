@@ -128,7 +128,8 @@ def check_bijections(max_n: int = BIJECTION_MAX_N) -> CriterionResult:
                 failures.append(f"binary tree round trip {path.to_text()}")
             if btree.vertex_count() != 2 * n + 1:
                 failures.append(f"binary tree size {path.to_text()}")
-            if n > 0 and bijections.binary_tree_blocks(btree) != pi:
+            tree_pi = bijections.binary_tree_blocks(btree)
+            if n > 0 and tree_pi != pi:
                 failures.append(f"binary tree blocks {path.to_text()}")
             doubled = bijections.double(pi)
             if doubled.n_pairs != n or bijections.undouble(doubled) != pi:
@@ -148,7 +149,7 @@ def check_bijections(max_n: int = BIJECTION_MAX_N) -> CriterionResult:
             if sizes_blocks != sizes_runs:
                 failures.append(f"size transport (runs) {path.to_text()}")
             if n > 0:
-                sizes_tree = sorted(len(b) for b in bijections.binary_tree_blocks(btree).blocks)
+                sizes_tree = sorted(len(b) for b in tree_pi.blocks)
                 if sizes_blocks != sizes_tree:
                     failures.append(f"size transport (tree) {path.to_text()}")
             # width transport under doubling

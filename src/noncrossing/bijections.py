@@ -3,6 +3,8 @@
 The Dyck path is the pivot: partitions, plane trees, full binary trees
 and pairings all convert through it.  The doubling construction maps a
 partition of [n] to a pairing of [2n] and transports the width statistic.
+Every map is linear in its input, apart from one sort of the doubled
+pairs, and none recurses, so paths and trees of any depth convert.
 """
 
 from __future__ import annotations
@@ -84,113 +86,75 @@ def planar_tree_to_dyck(tree: PlanarTree) -> DyckPath:
     return DyckPath(tuple(steps))
 
 
-def _heights(steps: tuple[int, ...]) -> list[int]:
-    out = []
-    h = 0
-    for s in steps:
-        h += s
-        out.append(h)
-    return out
-
-
-def _build_binary(steps: tuple[int, ...], labels: list[int]) -> BinaryTree:
-    """Recursive construction on a labeled step sequence.
-
-    A single-excursion path U S D becomes a new root whose left edge is a
-    labeled leaf edge and whose right subtree encodes S.  Otherwise the
-    path splits before its final excursion and the prefix tree is glued
-    onto the leaf immediately left of the suffix tree's root.
-    """
-    heights = _heights(steps)
-    last_return = None
-    for i in range(len(steps) - 1):
-        if heights[i] == 0:
-            last_return = i
-    if last_return is None:
-        # single excursion U S D
-        inner = steps[1:-1]
-        right = (
-            _build_binary(inner, labels[1:]) if inner else BinaryTree()
-        )
-        return BinaryTree(left=BinaryTree(), right=right, label=labels[0])
-    split = last_return + 1
-    ups_before = sum(1 for s in steps[:split] if s == 1)
-    prefix = _build_binary(steps[:split], labels[:ups_before])
-    suffix = _build_binary(steps[split:], labels[ups_before:])
-    return BinaryTree(left=prefix, right=suffix.right, label=suffix.label)
-
-
 def dyck_to_binary_tree(path: DyckPath) -> BinaryTree:
-    """Map a Dyck path with 2n steps to a full binary tree on 2n+1 vertices."""
-    if path.n == 0:
-        return BinaryTree()
-    return _build_binary(path.steps, list(range(1, path.n + 1)))
+    """Map a Dyck path with 2n steps to a full binary tree on 2n+1 vertices.
+
+    T(empty) is a leaf, and T(w U S D) is a vertex whose left edge carries
+    the label of that U, with left subtree T(w) and right subtree T(S).
+    One stack holds, per open U, its label and the tree of the steps read
+    since it.
+    """
+    leaf = BinaryTree()
+    trees = [leaf]
+    labels: list[int] = []
+    label = 0
+    for s in path.steps:
+        if s == 1:
+            label += 1
+            labels.append(label)
+            trees.append(leaf)
+        else:
+            inner = trees.pop()
+            trees[-1] = BinaryTree(left=trees[-1], right=inner, label=labels.pop())
+    return trees[0]
 
 
 def binary_tree_to_dyck(tree: BinaryTree) -> DyckPath:
-    """Inverse map; only the tree shape matters, labels are re-derived."""
+    """Inverse map; only the tree shape matters, labels are re-derived.
+
+    Emits T(left) U T(right) D for every internal vertex, from a stack of
+    pending subtrees and steps.
+    """
     steps: list[int] = []
-
-    def emit(node: BinaryTree) -> None:
-        if node.is_leaf:
-            return
-        emit(node.left)  # type: ignore[arg-type]
-        steps.append(1)
-        emit(node.right)  # type: ignore[arg-type]
-        steps.append(-1)
-
-    emit(tree)
+    pending: list[BinaryTree | int] = [tree]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, int):
+            steps.append(item)
+            continue
+        while not item.is_leaf:
+            pending += (-1, item.right, 1)  # type: ignore[arg-type]
+            item = item.left  # type: ignore[assignment]
     return DyckPath(tuple(steps))
 
 
 def binary_tree_blocks(tree: BinaryTree) -> NCPartition:
     """Read the partition from a labeled binary tree.
 
-    Each leaf closing a right edge starts a block: walk back towards the
-    root while the edge climbed is a right edge, collecting the labels of
-    the left edges hanging off the visited vertices.
+    Every internal vertex lies on exactly one maximal chain of right
+    edges, which starts at the root or at a left child and ends at a
+    leaf; the left-edge labels along each chain form one block.
     """
-    if tree.is_leaf:
-        return NCPartition(0, ())
     blocks: list[list[int]] = []
-
-    def label_of(node: BinaryTree) -> int:
-        if node.label is None:
-            raise ValidationError("internal vertex is missing its left-edge label")
-        return node.label
-
-    # walk the tree; for every right leaf, climb right edges iteratively
-    visit: list[tuple[BinaryTree, BinaryTree | None, bool]] = [(tree, None, False)]
-    parent_map: dict[int, tuple[BinaryTree | None, bool]] = {}
-    order: list[BinaryTree] = []
-    while visit:
-        node, parent, is_right = visit.pop()
-        parent_map[id(node)] = (parent, is_right)
-        order.append(node)
-        if not node.is_leaf:
-            visit.append((node.left, node, False))  # type: ignore[arg-type]
-            visit.append((node.right, node, True))  # type: ignore[arg-type]
-    for node in order:
-        parent, is_right = parent_map[id(node)]
-        if node.is_leaf and is_right and parent is not None:
-            block = [label_of(parent)]
-            cur, cur_right = parent, parent_map[id(parent)][1]
-            while cur_right:
-                cur_parent = parent_map[id(cur)][0]
-                assert cur_parent is not None
-                block.append(label_of(cur_parent))
-                cur, cur_right = cur_parent, parent_map[id(cur_parent)][1]
-            blocks.append(block)
-    n = (tree.vertex_count() - 1) // 2
+    n = 0
+    pending = [tree]
+    while pending:
+        node = pending.pop()
+        chain: list[int] = []
+        while not node.is_leaf:
+            if node.label is None:
+                raise ValidationError("internal vertex is missing its left-edge label")
+            n += 1
+            chain.append(node.label)
+            pending.append(node.left)  # type: ignore[arg-type]
+            node = node.right  # type: ignore[assignment]
+        if chain:
+            blocks.append(chain)
     return NCPartition(n, tuple(tuple(b) for b in blocks))
 
 
-def double(pi: NCPartition) -> NCPairing:
-    """Doubling construction: split each point x into 2x-1 and 2x.
-
-    A singleton {x} becomes the pair (2x-1, 2x); a block x1<...<xk becomes
-    the outer pair (2*x1-1, 2*xk) plus the inner pairs (2*xi, 2*x(i+1)-1).
-    """
+def _doubled_pairs(pi: NCPartition) -> tuple[tuple[int, int], ...]:
+    """The pairs of ``double(pi)``, sorted as ``NCPairing`` stores them."""
     pairs: list[tuple[int, int]] = []
     for block in pi.blocks:
         if len(block) == 1:
@@ -200,7 +164,17 @@ def double(pi: NCPartition) -> NCPairing:
             pairs.append((2 * block[0] - 1, 2 * block[-1]))
             for a, b in zip(block, block[1:]):
                 pairs.append((2 * a, 2 * b - 1))
-    return NCPairing(2 * pi.n, tuple(pairs))
+    pairs.sort()
+    return tuple(pairs)
+
+
+def double(pi: NCPartition) -> NCPairing:
+    """Doubling construction: split each point x into 2x-1 and 2x.
+
+    A singleton {x} becomes the pair (2x-1, 2x); a block x1<...<xk becomes
+    the outer pair (2*x1-1, 2*xk) plus the inner pairs (2*xi, 2*x(i+1)-1).
+    """
+    return NCPairing(2 * pi.n, _doubled_pairs(pi))
 
 
 def undouble(pairing: NCPairing) -> NCPartition:
@@ -243,7 +217,7 @@ def undouble(pairing: NCPairing) -> NCPartition:
             cur = nxt + 1
         blocks.append(block)
     pi = NCPartition(n, tuple(tuple(b) for b in blocks))
-    if double(pi) != pairing:
+    if _doubled_pairs(pi) != pairing.pairs:
         raise ValidationError("pairing is not of doubled form")
     return pi
 

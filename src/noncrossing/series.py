@@ -230,18 +230,6 @@ class ExactSeries:
                     out[i + j] = out[i + j] + a * b
         return ExactSeries(out, order)
 
-    def scale(self, factor: Scalar) -> "ExactSeries":
-        factor = _as_fraction(factor)
-        return ExactSeries([c * factor for c in self.coeffs], self.order)
-
-    def shift_down(self) -> "ExactSeries":
-        """Divide by the variable; constant term must vanish."""
-        if self.coeffs[0] != 0:
-            raise ValueError("cannot divide by the variable: nonzero constant term")
-        if self.order == 0:
-            raise ValueError("series too short to shift")
-        return ExactSeries(self.coeffs[1:], self.order - 1)
-
     def invert(self) -> "ExactSeries":
         """Reciprocal series; requires constant term 1."""
         if self.coeffs[0] != 1:
@@ -254,51 +242,6 @@ class ExactSeries:
                 if self.coeffs[j]:
                     acc = acc + self.coeffs[j] * out[k - j]
             out.append(-acc)
-        return ExactSeries(out, self.order)
-
-    def __truediv__(self, other: "ExactSeries") -> "ExactSeries":
-        c0 = other.coeffs[0]
-        if c0 != 1:
-            # factor out an invertible rational constant
-            if isinstance(c0, Fraction) and c0 != 0:
-                s = Fraction(1) / c0
-            elif isinstance(c0, QPoly) and c0.degree == 0:
-                s = Fraction(1) / c0[0]
-            else:
-                raise ValueError("division requires an invertible constant term")
-            return self.scale(s) / other.scale(s)
-        # long division against a monic-constant denominator; skipping the
-        # denominator's zero coefficients keeps sparse divisors linear-time
-        order = min(self.order, other.order)
-        support = [j for j in range(1, order + 1) if other.coeffs[j]]
-        out = [self.coeffs[0]]
-        for k in range(1, order + 1):
-            acc = self.coeffs[k]
-            for j in support:
-                if j > k:
-                    break
-                acc = acc - other.coeffs[j] * out[k - j]
-            out.append(acc)
-        return ExactSeries(out, order)
-
-    def sqrt(self) -> "ExactSeries":
-        """Exact square root for series with constant term 1.
-
-        Coefficients come from the first-order relation R*S' = (1/2)*R'*S
-        satisfied by S = sqrt(R), which gives a linear recurrence and
-        avoids repeated full-precision multiplications.
-        """
-        if self.coeffs[0] != 1:
-            raise ValueError("series square root requires constant term 1")
-        out = [self.coeffs[0]]
-        for n in range(self.order):
-            acc = self._zero()
-            for j in range(1, n + 2):
-                r = self.coeffs[j]
-                if r:
-                    factor = Fraction(3 * j - 2 * (n + 1), 2 * (n + 1))
-                    acc = acc + (r * out[n + 1 - j]) * factor
-            out.append(acc)
         return ExactSeries(out, self.order)
 
     def pow(self, exponent: int) -> "ExactSeries":

@@ -54,25 +54,19 @@ def is_noncrossing(n: int, blocks: Iterable[Iterable[int]]) -> bool:
     Raises ValidationError if ``blocks`` is not a partition of [n].
     """
     checked = _check_ground_set(n, blocks)
-    owner = {}
-    last = {}
-    for i, block in enumerate(checked):
+    owner: list[list[int]] = [[]] * (n + 1)
+    for block in checked:
         for x in block:
-            owner[x] = i
-        last[i] = block[-1]
-    stack: list[int] = []
-    open_set: set[int] = set()
+            owner[x] = block
+    stack: list[list[int]] = []
     for x in range(1, n + 1):
-        b = owner[x]
-        if b in open_set:
-            if stack[-1] != b:
-                return False
-        else:
-            stack.append(b)
-            open_set.add(b)
-        if x == last[b]:
+        block = owner[x]
+        if x == block[0]:
+            stack.append(block)
+        elif stack[-1] is not block:
+            return False
+        if x == block[-1]:
             stack.pop()
-            open_set.discard(b)
     return True
 
 

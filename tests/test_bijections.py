@@ -14,6 +14,78 @@ from noncrossing.structures import (
 )
 
 
+def _heights(steps):
+    out = []
+    h = 0
+    for s in steps:
+        h += s
+        out.append(h)
+    return out
+
+
+def _recursive_binary_tree(steps, labels):
+    """The former recursive construction, kept as an oracle (O(n^2)).
+
+    A single-excursion path U S D becomes a new root whose left edge is a
+    labeled leaf edge and whose right subtree encodes S.  Otherwise the
+    path splits before its final excursion and the prefix tree is glued
+    onto the leaf immediately left of the suffix tree's root.
+    """
+    heights = _heights(steps)
+    last_return = None
+    for i in range(len(steps) - 1):
+        if heights[i] == 0:
+            last_return = i
+    if last_return is None:
+        inner = steps[1:-1]
+        right = _recursive_binary_tree(inner, labels[1:]) if inner else BinaryTree()
+        return BinaryTree(left=BinaryTree(), right=right, label=labels[0])
+    split = last_return + 1
+    ups_before = sum(1 for s in steps[:split] if s == 1)
+    prefix = _recursive_binary_tree(steps[:split], labels[:ups_before])
+    suffix = _recursive_binary_tree(steps[split:], labels[ups_before:])
+    return BinaryTree(left=prefix, right=suffix.right, label=suffix.label)
+
+
+def _parent_map_blocks(tree):
+    """The former blocks reading, kept as an oracle: map every vertex to
+    its parent, then climb from each right leaf while the edge is a right
+    edge, collecting left-edge labels."""
+    if tree.is_leaf:
+        return NCPartition(0, ())
+    visit = [(tree, None, False)]
+    parent_map = {}
+    order = []
+    while visit:
+        node, parent, is_right = visit.pop()
+        parent_map[id(node)] = (parent, is_right)
+        order.append(node)
+        if not node.is_leaf:
+            visit.append((node.left, node, False))
+            visit.append((node.right, node, True))
+    blocks = []
+    for node in order:
+        parent, is_right = parent_map[id(node)]
+        if node.is_leaf and is_right and parent is not None:
+            block = [parent.label]
+            cur, cur_right = parent, parent_map[id(parent)][1]
+            while cur_right:
+                cur_parent = parent_map[id(cur)][0]
+                block.append(cur_parent.label)
+                cur, cur_right = cur_parent, parent_map[id(cur_parent)][1]
+            blocks.append(block)
+    n = (tree.vertex_count() - 1) // 2
+    return NCPartition(n, tuple(tuple(b) for b in blocks))
+
+
+def _unchecked_pairing(m, pairs):
+    """An NCPairing that skips validation, as a caller could hand one in."""
+    pairing = object.__new__(NCPairing)
+    object.__setattr__(pairing, "m", m)
+    object.__setattr__(pairing, "pairs", pairs)
+    return pairing
+
+
 def path(text):
     return DyckPath.from_text(text)
 
@@ -97,6 +169,33 @@ class TestBinaryTree:
                 )
                 assert sizes_tree == sizes_pi
 
+    @pytest.mark.parametrize("n", range(10))
+    def test_matches_recursive_oracle(self, n):
+        for p in enumerate_dyck(n):
+            tree = bijections.dyck_to_binary_tree(p)
+            oracle = (
+                _recursive_binary_tree(p.steps, list(range(1, n + 1)))
+                if n
+                else BinaryTree()
+            )
+            # dataclass equality compares the shape and every label
+            assert tree == oracle
+            assert bijections.binary_tree_blocks(tree) == _parent_map_blocks(oracle)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["U" * 1500 + "D" * 1500, "UD" * 1500],
+        ids=["right-chain", "left-chain"],
+    )
+    def test_deep_trees_do_not_recurse(self, text):
+        # trees of depth 1500; compare paths and partitions, since tree
+        # equality and repr recurse themselves
+        p = path(text)
+        tree = bijections.dyck_to_binary_tree(p)
+        assert tree.vertex_count() == 3001
+        assert bijections.binary_tree_to_dyck(tree) == p
+        assert bijections.binary_tree_blocks(tree) == bijections.dyck_to_partition(p)
+
 
 class TestDoubling:
     def test_two_singletons(self):
@@ -126,6 +225,24 @@ class TestDoubling:
                     continue
                 pairing = NCPairing(2 * n, pi.blocks)
                 assert bijections.double(bijections.undouble(pairing)) == pairing
+
+    @pytest.mark.parametrize(
+        "m, pairs",
+        [
+            (3, ((1, 2),)),  # odd ground set
+            (4, ((1, 3), (2, 4))),  # crossing; outer pair closes oddly
+            (4, ((1, 4),)),  # broken block chain
+            (4, ((2, 3), (1, 4))),  # even opener reached before its block
+            (6, ((1, 6), (2, 4), (3, 5))),  # inner pair closes evenly
+            (6, ((1, 4), (2, 5), (3, 6))),  # chain escapes its outer pair
+            (4, ((1, 2), (3, 4), (5, 6))),  # pair outside the ground set
+            (4, ((1, 2), (1, 2), (3, 4))),  # duplicated pair
+            (4, ((3, 4), (1, 2))),  # pairs not in sorted form
+        ],
+    )
+    def test_undouble_rejects_non_doubled_input(self, m, pairs):
+        with pytest.raises(ValidationError):
+            bijections.undouble(_unchecked_pairing(m, pairs))
 
     @pytest.mark.parametrize("n", range(9))
     def test_round_trip_and_width_transport(self, n):
@@ -173,11 +290,13 @@ def test_peak_block_transport(n):
     n=st.integers(min_value=1, max_value=2000),
 )
 def test_round_trips_and_width_transport_sampled(seed, n):
-    # the recursive binary-tree maps are left to the exhaustive tests
     pi = sample_nc_partition(n, RngState(seed, 0))
     path = bijections.partition_to_dyck(pi)
     assert bijections.dyck_to_partition(path) == pi
     assert bijections.partition_to_dyck(bijections.dyck_to_partition(path)) == path
+    tree = bijections.dyck_to_binary_tree(path)
+    assert bijections.binary_tree_to_dyck(tree) == path
+    assert bijections.binary_tree_blocks(tree) == pi
     doubled = bijections.double(pi)
     assert bijections.undouble(doubled) == pi
     height = statistics.dyck_height(bijections.pairing_to_dyck(doubled))

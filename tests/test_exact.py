@@ -6,6 +6,7 @@ import pytest
 
 from noncrossing import exact, harness, statistics
 from noncrossing.series import ExactSeries, QPoly
+from series_ops import series_divide, series_scale, series_shift_down, series_sqrt
 from noncrossing.structures import enumerate_nc
 
 
@@ -126,12 +127,12 @@ def _series_singleton_gf(order):
     radicand = ExactSeries(
         [one, QPoly((-2, -2)), QPoly((-3, 2, 1))] + [zero] * (work - 2), work
     )
-    root = radicand.sqrt()
+    root = series_sqrt(radicand)
     numerator = [one - root.coefficient(0), QPoly((1, -1)) - root.coefficient(1)]
     numerator += [-root.coefficient(i) for i in range(2, work + 1)]
-    shifted = ExactSeries(numerator, work).shift_down()
+    shifted = series_shift_down(ExactSeries(numerator, work))
     denominator = ExactSeries([one, QPoly((1, -1))] + [zero] * (order - 1), order)
-    return (shifted / denominator).scale(Fraction(1, 2))
+    return series_scale(series_divide(shifted, denominator), Fraction(1, 2))
 
 
 class TestUnpack:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from noncrossing.series import BivPoly, ExactSeries, QPoly
+from series_ops import series_divide, series_shift_down, series_sqrt
 
 
 class TestQPoly:
@@ -66,7 +67,7 @@ class TestExactSeries:
     def test_sqrt_squares_back(self):
         # sqrt(1 - 4z) has the shifted Catalan coefficients
         coeffs = [Fraction(1), Fraction(-4)] + [Fraction(0)] * 10
-        root = ExactSeries(coeffs).sqrt()
+        root = series_sqrt(ExactSeries(coeffs))
         assert root.coeffs[:4] == [Fraction(1), Fraction(-2), Fraction(-2), Fraction(-4)]
         squared = root * root
         assert squared.coeffs == ExactSeries(coeffs).coeffs
@@ -75,30 +76,30 @@ class TestExactSeries:
         coeffs = [Fraction(1), Fraction(3, 2), Fraction(-1, 3), Fraction(2), Fraction(-5, 7)]
         coeffs += [Fraction(0)] * 6
         s = ExactSeries(coeffs)
-        root = s.sqrt()
+        root = series_sqrt(s)
         assert (root * root).coeffs == s.coeffs
 
     def test_sqrt_requires_unit_constant(self):
         with pytest.raises(ValueError):
-            ExactSeries([Fraction(2), Fraction(1)]).sqrt()
+            series_sqrt(ExactSeries([Fraction(2), Fraction(1)]))
 
     def test_invert_and_divide(self):
         geometric = ExactSeries([Fraction(1), Fraction(-1)] + [Fraction(0)] * 6).invert()
         assert geometric.coeffs == [Fraction(1)] * 8
         one = ExactSeries([Fraction(1)] + [Fraction(0)] * 7)
-        ratio = one / ExactSeries([Fraction(2), Fraction(-2)] + [Fraction(0)] * 6)
+        ratio = series_divide(one, ExactSeries([Fraction(2), Fraction(-2)] + [Fraction(0)] * 6))
         assert ratio.coeffs == [Fraction(1, 2)] * 8
 
     def test_divide_round_trip(self):
         a = ExactSeries([Fraction(1), Fraction(5), Fraction(-2), Fraction(7)] + [Fraction(0)] * 4)
         b = ExactSeries([Fraction(1), Fraction(-3), Fraction(2), Fraction(1)] + [Fraction(0)] * 4)
-        assert ((a / b) * b).coeffs == a.coeffs
+        assert (series_divide(a, b) * b).coeffs == a.coeffs
 
     def test_shift_down(self):
         s = ExactSeries([Fraction(0), Fraction(4), Fraction(9)])
-        assert s.shift_down().coeffs == [Fraction(4), Fraction(9)]
+        assert series_shift_down(s).coeffs == [Fraction(4), Fraction(9)]
         with pytest.raises(ValueError):
-            ExactSeries([Fraction(1)]).shift_down()
+            series_shift_down(ExactSeries([Fraction(1)]))
 
     def test_pow(self):
         s = ExactSeries([Fraction(1), Fraction(1)] + [Fraction(0)] * 5)
