@@ -107,9 +107,11 @@ def _cmd_exact(args: argparse.Namespace) -> int:
     elif what == "mean-size":
         value = exact.mean_blocks_of_size(n, l)
     elif what == "second-factorial":
-        value = exact.second_factorial_moment(n, l)
+        value = exact.factorial_moment(n, {l: 2})
     elif what == "cross-moment":
-        value = exact.cross_moment(n, k, l)
+        if k == l:
+            raise ValueError("sizes must differ; use the variance path for k == l")
+        value = exact.factorial_moment(n, {k: 1, l: 1})
     elif what == "covariance":
         value = exact.covariance(n, k, l)
     elif what == "largest-cdf":
@@ -121,14 +123,14 @@ def _cmd_exact(args: argparse.Namespace) -> int:
                 "quantity": what,
                 "n": n,
                 "l": l,
-                "coefficients": [_fraction_payload(c) for c in poly.coeffs],
+                "coefficients": [_fraction_payload(Fraction(c)) for c in poly],
             }
             _write(args, json.dumps(payload, indent=2))
         else:
             _write(
                 args,
                 "power,count\n"
-                + "\n".join(f"{i},{poly[i]}" for i in range(poly.degree + 1)),
+                + "\n".join(f"{i},{c}" for i, c in enumerate(poly)),
             )
         return 0
     else:  # pragma: no cover - argparse restricts choices

@@ -1,10 +1,12 @@
 """Exact counting formulas for uniform non-crossing partitions.
 
-Arbitrary-precision rational arithmetic throughout: Catalan numbers,
-block-count moments, per-size moments and covariances, the marked
-counting polynomials extracted by Lagrange inversion, the closed-form
-singleton generating function, and the bounded-block-size series behind
-the largest-block law.  Only the asymptotic_* leading-term evaluators
+Counts are plain Python integers: Catalan numbers, the marked counting
+polynomials extracted by Lagrange inversion (a tuple of ints, or a dict
+of ints for two marked sizes), the singleton generating function (a list
+of int tuples) and the bounded-block-size counts behind the largest-block
+law.  Moments and probabilities are ratios of such counts, returned as
+``Fraction``s; every block-count moment comes from one mixed
+factorial-moment formula.  Only the asymptotic_* leading-term evaluators
 return floats; everything else never rounds.
 """
 
@@ -12,9 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable
-
-from .series import BivPoly, ExactSeries, QPoly
+from typing import Iterable, Mapping
 
 POLYNOMIAL_GUARD = 200
 SERIES_GUARD = 4096
@@ -51,19 +51,44 @@ def var_blocks_total(n: int) -> Fraction:
     return Fraction(n * n - 1, 4 * (2 * n - 1))
 
 
+def factorial_moment(n: int, marks: Mapping[int, int]) -> Fraction:
+    """Mixed factorial moment E[prod_l (X_l)_{a_l}] of the size-l block counts.
+
+    ``marks`` maps each size l to its order a_l; (x)_a is the falling
+    factorial.  Lagrange inversion on (1/(1-u) + sum_l u^l (q_l - 1))^(n+1)
+    gives, with A = sum a_l and W = sum a_l l,
+    (n+1)_A binom(2n-A-W, n-A) / ((n+1) Catalan(n)), and
+    (n+1) Catalan(n) = binom(2n, n).
+    """
+    if any(not 1 <= l <= n for l in marks):
+        # one mark words it as mean_blocks_of_size does, several as covariance
+        raise ValueError(
+            "need 1 <= l <= n" if len(marks) == 1 else "sizes must lie in 1..n"
+        )
+    if any(a < 0 for a in marks.values()):
+        raise ValueError("orders must be >= 0")
+    order = sum(marks.values())
+    weight = sum(a * l for l, a in marks.items())
+    return Fraction(
+        math.perm(n + 1, order) * _binom(2 * n - order - weight, n - order),
+        math.comb(2 * n, n),
+    )
+
+
 def mean_blocks_of_size(n: int, l: int) -> Fraction:
     """Expected number of size-l blocks.
 
     Computes the product form n/2^(l+1) * prod_{j=0..l} (1 + (2-j)/(2n-j))
-    and cross-checks it against the equivalent binomial quotient
-    binom(2n-l-1, n-1)/Catalan(n); a mismatch raises ConsistencyError.
+    and cross-checks it against factorial_moment(n, {l: 1}), the binomial
+    quotient binom(2n-l-1, n-1)/Catalan(n); a mismatch raises
+    ConsistencyError.
     """
     if not 1 <= l <= n:
         raise ValueError("need 1 <= l <= n")
     product = Fraction(n, 2 ** (l + 1))
     for j in range(l + 1):
         product *= Fraction(2 * n - j + (2 - j), 2 * n - j)
-    binomial_form = Fraction(_binom(2 * n - l - 1, n - 1), catalan(n))
+    binomial_form = factorial_moment(n, {l: 1})
     if product != binomial_form:
         raise ConsistencyError(
             f"product form {product} != binomial form {binomial_form} "
@@ -72,30 +97,18 @@ def mean_blocks_of_size(n: int, l: int) -> Fraction:
     return product
 
 
-def second_factorial_moment(n: int, l: int) -> Fraction:
-    """E[X(X-1)] for the number of size-l blocks."""
-    if not 1 <= l <= n:
-        raise ValueError("need 1 <= l <= n")
-    return Fraction(n * _binom(2 * n - 2 * l - 2, n - 2), catalan(n))
-
-
 def var_blocks_of_size(n: int, l: int) -> Fraction:
     """Exact variance via the second factorial moment."""
     mean = mean_blocks_of_size(n, l)
-    return second_factorial_moment(n, l) + mean - mean * mean
-
-
-def cross_moment(n: int, k: int, l: int) -> Fraction:
-    """E[X^(k) X^(l)] for counts of two distinct block sizes."""
-    if k == l:
-        raise ValueError("sizes must differ; use the variance path for k == l")
-    if not (1 <= k <= n and 1 <= l <= n):
-        raise ValueError("sizes must lie in 1..n")
-    return Fraction(n * _binom(2 * n - k - l - 2, n - 2), catalan(n))
+    return factorial_moment(n, {l: 2}) + mean - mean * mean
 
 
 def covariance(n: int, k: int, l: int) -> Fraction:
-    return cross_moment(n, k, l) - mean_blocks_of_size(n, k) * mean_blocks_of_size(n, l)
+    """Covariance of the size-k and size-l block counts, k != l."""
+    if k == l:
+        raise ValueError("sizes must differ; use the variance path for k == l")
+    cross = factorial_moment(n, {k: 1, l: 1})
+    return cross - mean_blocks_of_size(n, k) * mean_blocks_of_size(n, l)
 
 
 def asymptotic_var(l: int, n: int) -> float:
@@ -137,10 +150,14 @@ def _unpack(value: int, bits: int, count: int) -> list[int]:
     return digits
 
 
-def blocks_polynomial(n: int, l: int, *, guard: int = POLYNOMIAL_GUARD) -> QPoly:
+def blocks_polynomial(
+    n: int, l: int, *, guard: int = POLYNOMIAL_GUARD
+) -> tuple[int, ...]:
     """Counting polynomial of size-l blocks over NC partitions of [n].
 
-    The q^m coefficient counts partitions with exactly m blocks of size l.
+    Entry m of the returned tuple (the q^m coefficient) counts partitions
+    with exactly m blocks of size l, for m = 0..n//l; the last entry is
+    never 0 (n//l blocks of size l and one block of the rest).
     Lagrange inversion on (1/(1-u) + u^l (q-1))^(n+1) gives
     (n+1) Count(q) = W(q-1), W(x) = sum_j w_j x^j with
     w_j = binom(n+1, j) binom(2n-j(l+1), n-jl), j = 0..n//l.  The Taylor
@@ -154,7 +171,7 @@ def blocks_polynomial(n: int, l: int, *, guard: int = POLYNOMIAL_GUARD) -> QPoly
     if not 1 <= l <= max(n, 1):
         raise ValueError("need 1 <= l <= n")
     if n == 0:
-        return QPoly.one()
+        return (1,)
     bits = math.comb(2 * n, n).bit_length() + 1
     packed = 0
     for j in range(n // l, -1, -1):
@@ -166,17 +183,17 @@ def blocks_polynomial(n: int, l: int, *, guard: int = POLYNOMIAL_GUARD) -> QPoly
         if r:
             raise ConsistencyError("counting polynomial is not integral")
         coeffs.append(q)
-    return QPoly(coeffs)
+    return tuple(coeffs)
 
 
 def joint_polynomial(
     n: int, k: int, l: int, *, guard: int = POLYNOMIAL_GUARD
-) -> BivPoly:
+) -> dict[tuple[int, int], int]:
     """Joint counting polynomial of size-k and size-l block counts.
 
-    Coefficient of p^a q^b counts NC partitions of [n] with a blocks of
-    size k and b blocks of size l.  Same Lagrange extraction with a
-    three-term bracket.
+    Maps (a, b) to the nonzero count of NC partitions of [n] with a blocks
+    of size k and b blocks of size l (the p^a q^b coefficient).  Same
+    Lagrange extraction with a three-term bracket.
     """
     _check_poly_guard(n, guard)
     if k == l:
@@ -199,19 +216,24 @@ def joint_polynomial(
                 for j in range(b + 1):
                     w = wa * math.comb(b, j) * (-1 if (b - j) % 2 else 1)
                     terms[i, j] = terms.get((i, j), 0) + w
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     for key, value in terms.items():
         q, r = divmod(value, n + 1)
         if r:
             raise ConsistencyError("joint counting polynomial is not integral")
-        out[key] = Fraction(q)
-    return BivPoly(out)
+        if q:
+            out[key] = q
+    return out
 
 
-def singleton_gf_series(order: int, *, guard: int = POLYNOMIAL_GUARD) -> ExactSeries:
+def singleton_gf_series(
+    order: int, *, guard: int = POLYNOMIAL_GUARD
+) -> list[tuple[int, ...]]:
     """Closed-form generating function of singleton counts, as a series.
 
-    Expands (1 + (1-q)z - sqrt(R)) / (2z(1+(1-q)z)),
+    Returns the z^0..z^order coefficients; the z^n one is a polynomial in
+    q as a tuple of n+1 ints, the last (all singletons) being 1.  Expands
+    (1 + (1-q)z - sqrt(R)) / (2z(1+(1-q)z)),
     R = 1 - 2(1+q)z + (q^2+2q-3)z^2, over Z[q]; the z^n coefficient must
     equal blocks_polynomial(n, 1), which criterion 9 and the tests enforce
     coefficient by coefficient.  Each polynomial in q is one packed
@@ -246,41 +268,8 @@ def singleton_gf_series(order: int, *, guard: int = POLYNOMIAL_GUARD) -> ExactSe
             if odd:
                 raise ConsistencyError("singleton series coefficient is not integral")
             halves.append(half)
-        coeffs.append(QPoly(halves))
-    return ExactSeries(coeffs, order)
-
-
-def max_block_series(k: int, n_max: int, *, guard: int = SERIES_GUARD) -> ExactSeries:
-    """Series y(z) counting NC partitions with all blocks of size <= k.
-
-    y = z * (1 + y + ... + y^k) solved degree by degree; the coefficient
-    of z^(n+1) counts the partitions of [n] whose blocks all have size at
-    most k.  Intended for moderate orders; single large coefficients are
-    cheaper through bounded_block_count.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    _check_poly_guard(n_max, guard)
-    y = [0] * (n_max + 1)
-    if n_max >= 1:
-        y[1] = 1
-    # powers[j][d] = coefficient of z^d in y^j, filled degree by degree
-    powers: list[list[int]] = [[0] * (n_max + 1) for _ in range(k + 1)]
-    powers[0][0] = 1
-    if k >= 1:
-        powers[1] = y
-    for n in range(2, n_max + 1):
-        d = n - 1
-        for j in range(2, k + 1):
-            total = 0
-            upper = d - (j - 1)
-            prev = powers[j - 1]
-            for i in range(1, upper + 1):
-                if y[i] and prev[d - i]:
-                    total += y[i] * prev[d - i]
-            powers[j][d] = total
-        y[n] = sum(powers[j][d] for j in range(1, k + 1))
-    return ExactSeries([Fraction(v) for v in y], n_max)
+        coeffs.append(tuple(halves))
+    return coeffs
 
 
 def bounded_block_counts(n: int, ks: Iterable[int]) -> dict[int, int]:
@@ -330,16 +319,3 @@ def largest_block_cdf_exact(
     if n > guard:
         raise ValueError(f"n={n} above guard {guard}; raise the guard explicitly")
     return Fraction(bounded_block_count(n, k), catalan(n))
-
-
-def lagrange_coefficient(phi: ExactSeries, n: int) -> Fraction:
-    """n-th coefficient of the inverse of z = u/phi(u): (1/n)[u^(n-1)] phi^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if phi.coefficient(0) == 0:
-        raise ValueError("phi must have a nonzero constant term")
-    if phi.order < n - 1:
-        raise ValueError("phi is truncated below order n-1")
-    truncated = ExactSeries(phi.coeffs[:n], n - 1)
-    powered = truncated.pow(n)
-    return Fraction(powered.coefficient(n - 1)) / n

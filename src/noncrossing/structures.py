@@ -154,37 +154,49 @@ class DyckPath:
         return self.to_text()
 
 
-@dataclass(frozen=True)
-class PlanarTree:
+class _PreorderKeyed:
+    """Equality, hashing and ``repr`` by the flat ``_preorder()`` encoding.
+
+    The encoding is built without recursion, so trees of any depth compare.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._preorder() == other._preorder()  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(preorder={self._preorder()})"  # type: ignore[attr-defined]
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class PlanarTree(_PreorderKeyed):
     """Rooted tree with ordered children; size-n objects have n+1 vertices."""
 
     children: tuple["PlanarTree", ...] = ()
 
-    def vertex_count(self) -> int:
-        total = 1
-        stack = list(self.children)
+    def _preorder(self) -> tuple[int, ...]:
+        """The child count of every vertex in preorder; it fixes the tree."""
+        out = []
+        stack = [self]
         while stack:
             node = stack.pop()
-            total += 1
-            stack.extend(node.children)
-        return total
+            out.append(len(node.children))
+            stack.extend(reversed(node.children))
+        return tuple(out)
+
+    def vertex_count(self) -> int:
+        return len(self._preorder())
 
     def leaf_count(self) -> int:
-        if not self.children:
-            return 1
-        total = 0
-        stack = list(self.children)
-        while stack:
-            node = stack.pop()
-            if node.children:
-                stack.extend(node.children)
-            else:
-                total += 1
-        return total
+        return self._preorder().count(0)
 
 
-@dataclass(frozen=True)
-class BinaryTree:
+@dataclass(frozen=True, eq=False, repr=False)
+class BinaryTree(_PreorderKeyed):
     """Full binary tree; internal nodes carry a label on their left edge."""
 
     left: "BinaryTree | None" = None
@@ -199,16 +211,20 @@ class BinaryTree:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def vertex_count(self) -> int:
-        total = 0
+    def _preorder(self) -> tuple[tuple[bool, int | None], ...]:
+        """(is_leaf, label) of every vertex in preorder; it fixes the tree."""
+        out = []
         stack = [self]
         while stack:
             node = stack.pop()
-            total += 1
+            out.append((node.is_leaf, node.label))
             if not node.is_leaf:
-                stack.append(node.left)  # type: ignore[arg-type]
                 stack.append(node.right)  # type: ignore[arg-type]
-        return total
+                stack.append(node.left)  # type: ignore[arg-type]
+        return tuple(out)
+
+    def vertex_count(self) -> int:
+        return len(self._preorder())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from noncrossing.structures import (
     DyckPath,
     NCPairing,
     NCPartition,
+    PlanarTree,
     ValidationError,
     enumerate_dyck,
 )
@@ -188,13 +189,57 @@ class TestBinaryTree:
         ids=["right-chain", "left-chain"],
     )
     def test_deep_trees_do_not_recurse(self, text):
-        # trees of depth 1500; compare paths and partitions, since tree
-        # equality and repr recurse themselves
+        # binary trees of depth 1500
         p = path(text)
         tree = bijections.dyck_to_binary_tree(p)
         assert tree.vertex_count() == 3001
         assert bijections.binary_tree_to_dyck(tree) == p
         assert bijections.binary_tree_blocks(tree) == bijections.dyck_to_partition(p)
+
+
+class TestTreeComparison:
+    @pytest.mark.parametrize(
+        "build",
+        [bijections.dyck_to_planar_tree, bijections.dyck_to_binary_tree],
+        ids=["planar", "binary"],
+    )
+    @pytest.mark.parametrize(
+        "text, other_text",
+        [("U" * 1500 + "D" * 1500, "UD" * 1500), ("UD" * 1500, "U" * 1500 + "D" * 1500)],
+        ids=["right-chain", "left-chain"],
+    )
+    def test_deep_trees_compare(self, build, text, other_text):
+        tree = build(path(text))
+        rebuilt = build(path(text))
+        other = build(path(other_text))
+        assert tree == rebuilt and tree is not rebuilt
+        assert tree != other
+        assert hash(tree) == hash(rebuilt)
+        assert repr(tree) == repr(rebuilt) != repr(other)
+        assert repr(tree).startswith(type(tree).__name__ + "(preorder=(")
+
+    @pytest.mark.parametrize(
+        "build",
+        [bijections.dyck_to_planar_tree, bijections.dyck_to_binary_tree],
+        ids=["planar", "binary"],
+    )
+    def test_distinct_paths_give_distinct_trees(self, build):
+        for n in range(7):
+            trees = [build(p) for p in enumerate_dyck(n)]
+            assert len(set(trees)) == len(trees)
+            assert len({repr(t) for t in trees}) == len(trees)
+            assert all(t == build(p) for t, p in zip(trees, enumerate_dyck(n)))
+
+    def test_labels_and_types_count(self):
+        leaf = BinaryTree()
+        assert BinaryTree(leaf, leaf, label=1) != BinaryTree(leaf, leaf, label=2)
+        assert BinaryTree(leaf, leaf, label=1) != BinaryTree(leaf, leaf)
+        assert BinaryTree(label=3) != leaf
+        assert PlanarTree() != leaf
+        assert PlanarTree((PlanarTree(),)) == PlanarTree((PlanarTree(),))
+        assert repr(BinaryTree(leaf, leaf, label=1)) == \
+            "BinaryTree(preorder=((False, 1), (True, None), (True, None)))"
+        assert repr(PlanarTree((PlanarTree(), PlanarTree()))) == "PlanarTree(preorder=(2, 0, 0))"
 
 
 class TestDoubling:

@@ -86,6 +86,34 @@ class TestExact:
         assert code == 0
         assert out.splitlines()[1:] == ["0,1", "1,3", "2,0", "3,1"]
 
+    def test_blocks_poly_json(self, capsys):
+        code, out = run_cli(
+            capsys, "exact", "blocks-poly", "--n", "3", "--l", "1", "--format", "json"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["quantity"], payload["n"], payload["l"]) == ("blocks-poly", 3, 1)
+        coefficients = payload["coefficients"]
+        assert [c["numerator"] for c in coefficients] == ["1", "3", "0", "1"]
+        assert [c["denominator"] for c in coefficients] == ["1"] * 4
+        assert [c["decimal"] for c in coefficients] == [1.0, 3.0, 0.0, 1.0]
+
+    def test_second_factorial(self, capsys):
+        code, out = run_cli(
+            capsys, "exact", "second-factorial", "--n", "3", "--l", "1", "--format", "csv"
+        )
+        assert code == 0
+        assert out == "6/5 = 1.2\n"
+
+    def test_cross_moment(self, capsys):
+        code, out = run_cli(
+            capsys, "exact", "cross-moment", "--n", "3", "--k", "1", "--l", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["numerator"] == "3" and payload["denominator"] == "5"
+
 
 class TestExperimentCommands:
     def test_clt_blocks_small(self, capsys):
@@ -168,6 +196,12 @@ def test_unknown_quantity_rejected(capsys):
         (["stats", "--partition", "{1,3}|{2,4}"], "has a crossing"),
         (["exact", "mean-size", "--n", "3", "--l", "5"], "need 1 <= l <= n"),
         (["stats", "--partition", "{}"], "malformed block '{}'"),
+        (["exact", "second-factorial", "--n", "3", "--l", "5"], "need 1 <= l <= n"),
+        (
+            ["exact", "cross-moment", "--n", "5", "--k", "2", "--l", "2"],
+            "sizes must differ; use the variance path for k == l",
+        ),
+        (["exact", "cross-moment", "--n", "3", "--k", "5", "--l", "1"], "sizes must lie in 1..n"),
     ],
 )
 def test_invalid_sizes_exit_2_with_one_line(capsys, argv, message):

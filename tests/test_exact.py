@@ -5,8 +5,14 @@ from fractions import Fraction
 import pytest
 
 from noncrossing import exact, harness, statistics
-from noncrossing.series import ExactSeries, QPoly
-from series_ops import series_divide, series_scale, series_shift_down, series_sqrt
+from series_ops import (
+    ExactSeries,
+    QPoly,
+    series_divide,
+    series_scale,
+    series_shift_down,
+    series_sqrt,
+)
 from noncrossing.structures import enumerate_nc
 
 
@@ -45,19 +51,19 @@ class TestSizeMoments:
         assert exact.mean_blocks_of_size(2, 2) == Fraction(1, 2)
 
     def test_frozen_second_factorial(self):
-        assert exact.second_factorial_moment(3, 1) == Fraction(6, 5)
-        assert exact.second_factorial_moment(3, 2) == 0
-        assert exact.second_factorial_moment(4, 1) == Fraction(12, 7)
+        assert exact.factorial_moment(3, {1: 2}) == Fraction(6, 5)
+        assert exact.factorial_moment(3, {2: 2}) == 0
+        assert exact.factorial_moment(4, {1: 2}) == Fraction(12, 7)
 
     def test_frozen_cross_and_covariance(self):
-        assert exact.cross_moment(3, 1, 2) == Fraction(3, 5)
+        assert exact.factorial_moment(3, {1: 1, 2: 1}) == Fraction(3, 5)
         assert exact.covariance(3, 1, 2) == Fraction(-3, 25)
-        assert exact.cross_moment(4, 1, 3) == Fraction(2, 7)
-        assert exact.cross_moment(5, 2, 4) == 0  # k + l > n
+        assert exact.factorial_moment(4, {1: 1, 3: 1}) == Fraction(2, 7)
+        assert exact.factorial_moment(5, {2: 1, 4: 1}) == 0  # k + l > n
 
     def test_equal_sizes_rejected(self):
-        with pytest.raises(ValueError):
-            exact.cross_moment(5, 2, 2)
+        with pytest.raises(ValueError, match="sizes must differ"):
+            exact.covariance(5, 2, 2)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_against_enumeration(self, n):
@@ -67,11 +73,82 @@ class TestSizeMoments:
             mean = Fraction(sum(h[l - 1] for h in hists), count)
             assert mean == exact.mean_blocks_of_size(n, l)
             fact2 = Fraction(sum(h[l - 1] * (h[l - 1] - 1) for h in hists), count)
-            assert fact2 == exact.second_factorial_moment(n, l)
+            assert fact2 == exact.factorial_moment(n, {l: 2})
         for k in range(1, n + 1):
             for l in range(k + 1, n + 1):
                 cross = Fraction(sum(h[k - 1] * h[l - 1] for h in hists), count)
-                assert cross == exact.cross_moment(n, k, l)
+                assert cross == exact.factorial_moment(n, {k: 1, l: 1})
+
+
+def _falling(x, a):
+    out = 1
+    for i in range(a):
+        out *= x - i
+    return out
+
+
+def _comb0(a, b):
+    return math.comb(a, b) if 0 <= b <= a else 0
+
+
+MARK_PATTERNS = [
+    {1: 1},
+    {2: 2},
+    {1: 3},
+    {1: 4},
+    {1: 1, 2: 1},
+    {1: 2, 3: 1},
+    {1: 2, 2: 2},
+    {1: 1, 2: 1, 3: 1},
+]
+
+
+class TestFactorialMoment:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_against_enumeration(self, n):
+        hists = [statistics.block_size_histogram(p) for p in enumerate_nc(n)]
+        for marks in MARK_PATTERNS:
+            if max(marks) > n:
+                continue
+            total = 0
+            for h in hists:
+                term = 1
+                for l, a in marks.items():
+                    term *= _falling(h[l - 1], a)
+                total += term
+            assert exact.factorial_moment(n, marks) == Fraction(total, len(hists)), marks
+
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_matches_former_closed_forms(self, n):
+        # the removed second_factorial_moment and cross_moment, as oracles
+        catalan = exact.catalan(n)
+        sizes = (1, 2, 3, 7, n // 2, n - 1, n)
+        for l in sizes:
+            assert exact.factorial_moment(n, {l: 2}) == \
+                Fraction(n * _comb0(2 * n - 2 * l - 2, n - 2), catalan), l
+            assert exact.factorial_moment(n, {l: 1}) == exact.mean_blocks_of_size(n, l)
+        for k in sizes:
+            for l in sizes:
+                if k < l:
+                    assert exact.factorial_moment(n, {k: 1, l: 1}) == \
+                        Fraction(n * _comb0(2 * n - k - l - 2, n - 2), catalan), (k, l)
+
+    def test_empty_and_zero_orders(self):
+        assert exact.factorial_moment(5, {}) == 1
+        assert exact.factorial_moment(5, {2: 0}) == 1
+        assert exact.factorial_moment(5, {1: 2, 3: 0}) == exact.factorial_moment(5, {1: 2})
+
+    def test_rejects_bad_marks(self):
+        with pytest.raises(ValueError, match="need 1 <= l <= n"):
+            exact.factorial_moment(3, {0: 1})
+        with pytest.raises(ValueError, match="need 1 <= l <= n"):
+            exact.factorial_moment(3, {4: 2})
+        with pytest.raises(ValueError, match="sizes must lie in 1..n"):
+            exact.factorial_moment(3, {1: 1, 4: 1})
+        with pytest.raises(ValueError, match="orders must be >= 0"):
+            exact.factorial_moment(3, {1: -1})
+        with pytest.raises(ValueError, match="orders must be >= 0"):
+            exact.factorial_moment(3, {1: 2, 2: -1})
 
 
 class TestAsymptoticForms:
@@ -112,7 +189,7 @@ def _double_loop_blocks_polynomial(n, l):
         for i in range(j + 1):
             acc[i] += weight * math.comb(j, i) * (-1 if (j - i) % 2 else 1)
     assert all(value % (n + 1) == 0 for value in acc)
-    return QPoly([value // (n + 1) for value in acc])
+    return QPoly([value // (n + 1) for value in acc]).coeffs
 
 
 def _series_singleton_gf(order):
@@ -132,7 +209,8 @@ def _series_singleton_gf(order):
     numerator += [-root.coefficient(i) for i in range(2, work + 1)]
     shifted = series_shift_down(ExactSeries(numerator, work))
     denominator = ExactSeries([one, QPoly((1, -1))] + [zero] * (order - 1), order)
-    return series_scale(series_divide(shifted, denominator), Fraction(1, 2))
+    series = series_scale(series_divide(shifted, denominator), Fraction(1, 2))
+    return [c.coeffs for c in series.coeffs]
 
 
 class TestUnpack:
@@ -159,13 +237,14 @@ class TestUnpack:
 
 class TestBlocksPolynomial:
     def test_frozen_small(self):
-        assert exact.blocks_polynomial(3, 1) == QPoly((1, 3, 0, 1))
-        assert exact.blocks_polynomial(3, 3) == QPoly((4, 1))
+        assert exact.blocks_polynomial(3, 1) == (1, 3, 0, 1)
+        assert exact.blocks_polynomial(3, 3) == (4, 1)
+        assert exact.blocks_polynomial(0, 1) == (1,)
 
     def test_derivative_identity(self):
         for n, l in ((3, 1), (5, 2), (8, 3)):
             poly = exact.blocks_polynomial(n, l)
-            assert Fraction(poly.derivative().eval(1)) / exact.catalan(n) == \
+            assert Fraction(sum(m * c for m, c in enumerate(poly))) / exact.catalan(n) == \
                 exact.mean_blocks_of_size(n, l)
 
     @pytest.mark.parametrize("n", range(1, 9))
@@ -174,9 +253,10 @@ class TestBlocksPolynomial:
         for l in range(1, n + 1):
             tally = Counter(h[l - 1] for h in hists)
             poly = exact.blocks_polynomial(n, l)
-            assert sum(poly.coeffs) == exact.catalan(n)
-            assert all(c >= 0 and c.denominator == 1 for c in poly.coeffs)
-            for power in range(poly.degree + 1):
+            assert sum(poly) == exact.catalan(n)
+            assert all(type(c) is int and c >= 0 for c in poly)
+            assert poly[-1] != 0
+            for power in range(len(poly)):
                 assert poly[power] == tally.get(power, 0), (n, l, power)
 
     def test_guard(self):
@@ -201,34 +281,38 @@ class TestBlocksPolynomial:
     def test_moments_at_scale(self, l):
         n = 2000
         poly = exact.blocks_polynomial(n, l, guard=n)
-        counts = [int(c) for c in poly.coeffs]
         total = exact.catalan(n)
-        assert sum(counts) == total
-        assert Fraction(sum(m * c for m, c in enumerate(counts)), total) == \
+        assert sum(poly) == total
+        assert Fraction(sum(m * c for m, c in enumerate(poly)), total) == \
             exact.mean_blocks_of_size(n, l)
-        assert Fraction(sum(m * (m - 1) * c for m, c in enumerate(counts)), total) == \
-            exact.second_factorial_moment(n, l)
+        assert Fraction(sum(m * (m - 1) * c for m, c in enumerate(poly)), total) == \
+            exact.factorial_moment(n, {l: 2})
 
 
 class TestJointPolynomial:
     def test_frozen_table(self):
         joint = exact.joint_polynomial(3, 1, 2)
-        assert joint.coeff(3, 0) == 1
-        assert joint.coeff(1, 1) == 3
-        assert joint.coeff(0, 0) == 1
-        assert joint.total() == 5
+        assert joint.get((3, 0), 0) == 1
+        assert joint.get((1, 1), 0) == 3
+        assert joint.get((0, 0), 0) == 1
+        assert sum(joint.values()) == 5
+        assert all(type(c) is int and c for c in joint.values())
 
     def test_marker_erasure(self):
         for n, k, l in ((3, 1, 2), (6, 2, 3), (7, 1, 4)):
             joint = exact.joint_polynomial(n, k, l)
-            assert joint.substitute_second_one() == exact.blocks_polynomial(n, k)
-            assert joint.total() == exact.catalan(n)
+            erased = [0] * (max(a for a, _ in joint) + 1)
+            for (a, _), c in joint.items():
+                erased[a] += c
+            assert tuple(erased) == exact.blocks_polynomial(n, k)
+            assert sum(joint.values()) == exact.catalan(n)
 
     def test_mixed_derivative_is_cross_moment(self):
         for n, k, l in ((3, 1, 2), (6, 2, 3), (8, 1, 3)):
             joint = exact.joint_polynomial(n, k, l)
-            assert joint.mixed_derivative_at_one() / exact.catalan(n) == \
-                exact.cross_moment(n, k, l)
+            mixed = sum(a * b * c for (a, b), c in joint.items())
+            assert Fraction(mixed, exact.catalan(n)) == \
+                exact.factorial_moment(n, {k: 1, l: 1})
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_matches_enumeration(self, n):
@@ -238,43 +322,72 @@ class TestJointPolynomial:
                 joint = exact.joint_polynomial(n, k, l)
                 table = Counter((h[k - 1], h[l - 1]) for h in hists)
                 for key, ways in table.items():
-                    assert joint.coeff(*key) == ways
+                    assert joint.get(key, 0) == ways
 
 
 class TestSingletonSeries:
     def test_first_coefficients(self):
         s = exact.singleton_gf_series(12)
-        assert s.coefficient(0) == 1
-        assert s.coefficient(3) == QPoly((1, 3, 0, 1))
+        assert len(s) == 13
+        assert s[0] == (1,)
+        assert s[3] == (1, 3, 0, 1)
         for n in range(1, 13):
-            assert s.coefficient(n) == exact.blocks_polynomial(n, 1)
+            assert s[n] == exact.blocks_polynomial(n, 1)
 
     def test_catalan_specialization(self):
         s = exact.singleton_gf_series(10)
         for n in range(11):
-            assert s.coefficient(n).eval(Fraction(1)) == exact.catalan(n)
+            assert sum(s[n]) == exact.catalan(n)
 
     @pytest.mark.parametrize("order", [*range(1, 41), 200])
     def test_matches_exact_series_oracle(self, order):
         assert exact.singleton_gf_series(order) == _series_singleton_gf(order)
 
 
+def _max_block_series(k, n_max):
+    """Series y(z) counting NC partitions with all blocks of size <= k.
+
+    The reference for ``exact.bounded_block_count``: y = z (1 + y + ... +
+    y^k) solved degree by degree, as a list of ints; the coefficient of
+    z^(n+1) counts the partitions of [n] whose blocks all have size at
+    most k.
+    """
+    y = [0] * (n_max + 1)
+    if n_max >= 1:
+        y[1] = 1
+    # powers[j][d] = coefficient of z^d in y^j, filled degree by degree
+    powers = [[0] * (n_max + 1) for _ in range(k + 1)]
+    powers[0][0] = 1
+    powers[1] = y
+    for n in range(2, n_max + 1):
+        d = n - 1
+        for j in range(2, k + 1):
+            total = 0
+            prev = powers[j - 1]
+            for i in range(1, d - j + 2):
+                if y[i] and prev[d - i]:
+                    total += y[i] * prev[d - i]
+            powers[j][d] = total
+        y[n] = sum(powers[j][d] for j in range(1, k + 1))
+    return y
+
+
 class TestMaxBlockSeries:
     def test_frozen_bounded_counts(self):
-        series = exact.max_block_series(2, 8)
-        assert int(series.coefficient(4)) == 4
-        assert int(series.coefficient(5)) == 9
+        series = _max_block_series(2, 8)
+        assert series[4] == 4
+        assert series[5] == 9
 
     def test_unconstrained_regime(self):
-        series = exact.max_block_series(9, 9)
+        series = _max_block_series(9, 9)
         for n in range(9):
-            assert int(series.coefficient(n + 1)) == exact.catalan(n)
+            assert series[n + 1] == exact.catalan(n)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5])
     def test_series_matches_closed_form(self, k):
-        series = exact.max_block_series(k, 40)
+        series = _max_block_series(k, 40)
         for n in range(40):
-            assert int(series.coefficient(n + 1)) == exact.bounded_block_count(n, k)
+            assert series[n + 1] == exact.bounded_block_count(n, k)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_closed_form_matches_enumeration(self, n):
@@ -377,26 +490,6 @@ class TestLargestBlockCdf:
         assert all(0 <= v <= 1 for v in values)
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert values[-1] == 1
-
-
-class TestLagrange:
-    def test_geometric_gives_shifted_catalan(self):
-        geo = ExactSeries([Fraction(1)] * 24)
-        for n in range(1, 24):
-            assert exact.lagrange_coefficient(geo, n) == exact.catalan(n - 1)
-
-    def test_one_plus_u_gives_ones(self):
-        phi = ExactSeries([Fraction(1), Fraction(1)] + [Fraction(0)] * 20)
-        for n in range(1, 20):
-            assert exact.lagrange_coefficient(phi, n) == 1
-
-    def test_n_one_gives_constant(self):
-        phi = ExactSeries([Fraction(7), Fraction(3)])
-        assert exact.lagrange_coefficient(phi, 1) == 7
-
-    def test_zero_constant_term_rejected(self):
-        with pytest.raises(ValueError):
-            exact.lagrange_coefficient(ExactSeries([Fraction(0), Fraction(1)]), 1)
 
 
 class TestNegativeCorrelationSweep:

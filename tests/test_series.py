@@ -2,8 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from noncrossing.series import BivPoly, ExactSeries, QPoly
-from series_ops import series_divide, series_shift_down, series_sqrt
+from series_ops import ExactSeries, QPoly, series_divide, series_shift_down, series_sqrt
 
 
 class TestQPoly:
@@ -13,11 +12,11 @@ class TestQPoly:
         assert QPoly(()).degree == -1
 
     def test_arithmetic(self):
-        q = QPoly.marker()
+        q = QPoly((0, 1))
         p = (q + 1) * (q - 1)
         assert p == QPoly((-1, 0, 1))
         assert p - p == QPoly.zero()
-        assert 2 * q == QPoly((0, 2))
+        assert q * 2 == QPoly((0, 2))
         assert q * Fraction(1, 2) == QPoly((0, Fraction(1, 2)))
 
     def test_scalar_equality(self):
@@ -25,30 +24,8 @@ class TestQPoly:
         assert QPoly.one() == 1
         assert QPoly.zero() == 0
 
-    def test_eval_and_derivative(self):
-        p = QPoly((1, 3, 0, 1))  # 1 + 3q + q^3
-        assert p.eval(1) == 5
-        assert p.eval(2) == 15
-        assert p.derivative() == QPoly((3, 0, 3))
-        assert p.derivative().eval(1) == 6
-
     def test_getitem_beyond_degree(self):
         assert QPoly((1,))[10] == 0
-
-
-class TestBivPoly:
-    def test_drops_zero_terms(self):
-        b = BivPoly({(1, 1): 0, (0, 0): 1})
-        assert (1, 1) not in b.terms
-
-    def test_specialization(self):
-        # p^3 + 3pq + 1
-        b = BivPoly({(3, 0): 1, (1, 1): 3, (0, 0): 1})
-        assert b.substitute_second_one() == QPoly((1, 3, 0, 1))
-        assert b.mixed_derivative_at_one() == 3
-        assert b.total() == 5
-        assert b.eval(1, 1) == 5
-        assert b.eval(2, 1) == 15
 
 
 class TestExactSeries:
@@ -84,9 +61,10 @@ class TestExactSeries:
             series_sqrt(ExactSeries([Fraction(2), Fraction(1)]))
 
     def test_invert_and_divide(self):
-        geometric = ExactSeries([Fraction(1), Fraction(-1)] + [Fraction(0)] * 6).invert()
-        assert geometric.coeffs == [Fraction(1)] * 8
         one = ExactSeries([Fraction(1)] + [Fraction(0)] * 7)
+        # the reciprocal of 1 - z is the geometric series
+        one_minus_z = ExactSeries([Fraction(1), Fraction(-1)] + [Fraction(0)] * 6)
+        assert series_divide(one, one_minus_z).coeffs == [Fraction(1)] * 8
         ratio = series_divide(one, ExactSeries([Fraction(2), Fraction(-2)] + [Fraction(0)] * 6))
         assert ratio.coeffs == [Fraction(1, 2)] * 8
 
@@ -101,14 +79,9 @@ class TestExactSeries:
         with pytest.raises(ValueError):
             series_shift_down(ExactSeries([Fraction(1)]))
 
-    def test_pow(self):
-        s = ExactSeries([Fraction(1), Fraction(1)] + [Fraction(0)] * 5)
-        cubed = s.pow(3)
-        assert cubed.coeffs[:4] == [Fraction(1), Fraction(3), Fraction(3), Fraction(1)]
-
     def test_polynomial_coefficients(self):
-        q = QPoly.marker()
+        q = QPoly((0, 1))
         s = ExactSeries([QPoly.one(), q, QPoly.zero()])
         sq = s * s
-        assert sq.coefficient(1) == 2 * q
+        assert sq.coefficient(1) == q * 2
         assert sq.coefficient(2) == q * q
