@@ -1,7 +1,8 @@
 """End-to-end verification suite: every advertised law, one pass/fail line.
 
-Criteria 1-2 and 9 are exact (zero tolerance); the Monte Carlo criteria
-pin their thresholds from tolerances.json.  ``run_all`` powers the
+Criteria 1-2 and 9 are exact (zero tolerance).  The Monte Carlo criteria
+3-7 judge the reports of ``MONTE_CARLO_REQUESTS``, drawn once per declared
+(n, samples, seed) of tolerances.json.  ``run_all`` powers the
 ``verify-all`` CLI subcommand and the acceptance test module.
 """
 
@@ -12,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Mapping
 
 from . import bijections, exact, harness, limitlaws, statistics, structures
 
@@ -170,50 +171,58 @@ def check_bijections(max_n: int = BIJECTION_MAX_N) -> CriterionResult:
 # criteria 3-7: Monte Carlo laws
 
 
-def _declared_reports(
-    requests: list[harness.Request], threads: int
-) -> list[harness.ExperimentReport]:
+# each request's cfg is the tolerances.json section declaring its (n, samples, seed)
+_CLT_SIZES = (1, 2, 3)
+_NEGATIVE = _CFG["negative_correlation"]
+MONTE_CARLO_REQUESTS = (
+    harness.Request("clt-blocks", cfg=_CFG["clt_blocks"]),
+    *(harness.Request("clt-size", {"l": l}, _CFG["clt_blocks_of_size"]) for l in _CLT_SIZES),
+    harness.Request("geometric-profile", cfg=_CFG["geometric_profile"]),
+    harness.Request("covariance", {"k": _NEGATIVE["k"], "l": _NEGATIVE["l"]}, _NEGATIVE),
+    harness.Request("largest-block", cfg=_CFG["largest_block_concentration"]),
+    harness.Request("width", cfg=_CFG["width"]),
+)
+
+Reports = Mapping[str, harness.ExperimentReport]
+
+
+def _declared_reports(requests: Iterable[harness.Request], threads: int) -> Reports:
     """Run requests at the (n, samples, seed) their ``cfg`` declares.
 
-    Requests that declare the same sample share one sampling pass.
+    Requests that declare the same sample share one sampling pass; the
+    reports are keyed by experiment id.
     """
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for index, request in enumerate(requests):
+    groups: dict[tuple[int, int, int], list[harness.Request]] = {}
+    for request in requests:
         cfg = request.cfg
-        groups.setdefault((cfg["n"], cfg["samples"], cfg["seed"]), []).append(index)
-    reports: list = [None] * len(requests)
+        groups.setdefault((cfg["n"], cfg["samples"], cfg["seed"]), []).append(request)
+    reports = {}
     for (n, samples, seed), members in groups.items():
-        batch = harness.run_experiments(
-            n, samples, seed, [requests[i] for i in members], threads=threads
-        )
-        for index, report in zip(members, batch):
-            reports[index] = report
+        for report in harness.run_experiments(n, samples, seed, members, threads=threads):
+            if report.experiment_id in reports:
+                raise ValueError(f"experiment id {report.experiment_id} declared twice")
+            reports[report.experiment_id] = report
     return reports
 
 
-def check_clt(threads: int = 1) -> CriterionResult:
-    cfg_l = _CFG["clt_blocks_of_size"]
-    reports = _declared_reports(
-        [harness.Request("clt-blocks", cfg=_CFG["clt_blocks"])]
-        + [harness.Request("clt-size", {"l": l}, cfg_l) for l in (1, 2, 3)],
-        threads,
-    )
+def check_clt(reports: Reports) -> CriterionResult:
+    clt = [reports["clt-blocks"]] + [reports[f"clt-size-{l}"] for l in _CLT_SIZES]
     failures = []
-    for rep in reports:
+    for rep in clt:
         if not rep.checks["ks_below_threshold"]:
             failures.append(
                 f"{rep.experiment_id}: ks={rep.observed['ks_distance']:.4f}"
             )
     detail_ok = ", ".join(
-        f"{rep.experiment_id} ks={rep.observed['ks_distance']:.4f}" for rep in reports
+        f"{rep.experiment_id} ks={rep.observed['ks_distance']:.4f}" for rep in clt
     )
     passed, detail = _fail_detail(failures, detail_ok)
     return CriterionResult("3", "Gaussian limits for block counts", passed, detail)
 
 
-def check_geometric_profile(threads: int = 1) -> CriterionResult:
+def check_geometric_profile(reports: Reports) -> CriterionResult:
     cfg = _CFG["geometric_profile"]
-    [rep] = _declared_reports([harness.Request("geometric-profile", cfg=cfg)], threads)
+    rep = reports["geometric-profile"]
     failures = [name for name, ok in rep.checks.items() if not ok]
     deviations = ", ".join(
         f"l={l}: {rep.observed[f'mean_per_element_size_{l}'] * 2 ** (l + 1) - 1:+.3%}"
@@ -223,7 +232,7 @@ def check_geometric_profile(threads: int = 1) -> CriterionResult:
     return CriterionResult("4", "geometric block-size profile", passed, detail)
 
 
-def check_negative_correlation(threads: int = 1) -> CriterionResult:
+def check_negative_correlation(reports: Reports) -> CriterionResult:
     cfg = _CFG["negative_correlation"]
     failures = []
     for n in range(2, cfg["exact_n_max"] + 1):
@@ -231,9 +240,7 @@ def check_negative_correlation(threads: int = 1) -> CriterionResult:
             for l in range(k + 1, n - k + 1):
                 if exact.covariance(n, k, l) >= 0:
                     failures.append(f"exact cov({n},{k},{l}) >= 0")
-    [rep] = _declared_reports(
-        [harness.Request("covariance", {"k": cfg["k"], "l": cfg["l"]}, cfg)], threads
-    )
+    rep = reports[f"covariance-{cfg['k']}-{cfg['l']}"]
     failures.extend(name for name, ok in rep.checks.items() if not ok)
     passed, detail = _fail_detail(
         failures,
@@ -266,7 +273,7 @@ def check_largest_block_gap() -> CriterionResult:
     )
 
 
-def check_largest_block_concentration(threads: int = 1) -> CriterionResult:
+def check_largest_block_concentration(reports: Reports) -> CriterionResult:
     """The largest block concentrates at log2 n, checked against the exact law.
 
     The declared budget (``outside_max``) is a finite-n reading of a limit
@@ -279,7 +286,7 @@ def check_largest_block_concentration(threads: int = 1) -> CriterionResult:
     """
     cfg = _CFG["largest_block_concentration"]
     n, epsilon, samples = cfg["n"], cfg["epsilon"], cfg["samples"]
-    [rep] = _declared_reports([harness.Request("largest-block", cfg=cfg)], threads)
+    rep = reports["largest-block"]
     e_lo, e_hi = cfg["decay_log2_n"]
     decay_sizes = [2**e for e in range(e_lo, e_hi + 1)]
     masses = {
@@ -317,9 +324,9 @@ def check_largest_block_concentration(threads: int = 1) -> CriterionResult:
     )
 
 
-def check_width(threads: int = 1) -> CriterionResult:
+def check_width(reports: Reports) -> CriterionResult:
     cfg = _CFG["width"]
-    [rep] = _declared_reports([harness.Request("width", cfg=cfg)], threads)
+    rep = reports["width"]
     failures = [name for name, ok in rep.checks.items() if not ok]
     passed, detail = _fail_detail(
         failures,
@@ -398,15 +405,16 @@ def run_all(
     threads: int = 1, printer: Callable[[str], None] = print
 ) -> list[CriterionResult]:
     """Run every acceptance criterion, printing one line per criterion."""
+    reports = _declared_reports(MONTE_CARLO_REQUESTS, threads)
     checks: list[Callable[[], CriterionResult]] = [
         check_exact_reconciliation,
         check_bijections,
-        lambda: check_clt(threads),
-        lambda: check_geometric_profile(threads),
-        lambda: check_negative_correlation(threads),
+        lambda: check_clt(reports),
+        lambda: check_geometric_profile(reports),
+        lambda: check_negative_correlation(reports),
         check_largest_block_gap,
-        lambda: check_largest_block_concentration(threads),
-        lambda: check_width(threads),
+        lambda: check_largest_block_concentration(reports),
+        lambda: check_width(reports),
         check_singularity,
         check_singleton_closed_form,
     ]

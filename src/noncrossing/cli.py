@@ -10,6 +10,7 @@ redirects either to a file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -61,7 +62,7 @@ def _partition_from_args(args: argparse.Namespace) -> NCPartition:
     if args.partition:
         return NCPartition.from_text(args.partition)
     if args.n is None:
-        raise SystemExit("stats needs --partition or --n (with --seed)")
+        raise ValueError("stats needs --partition or --n (with --seed)")
     return sample_nc_partition(args.n, RngState(args.seed, 0))
 
 
@@ -177,17 +178,7 @@ def _cmd_width_process(args: argparse.Namespace) -> int:
 
 def _cmd_singularity(args: argparse.Namespace) -> int:
     report = limitlaws.solve_characteristic_maxblock(args.k)
-    payload = {
-        "k": report.k,
-        "z0": report.z0,
-        "y0": report.y0,
-        "gamma": report.gamma,
-        "z0_minus_quarter": report.z0_minus_quarter,
-        "y0_minus_half": report.y0_minus_half,
-        "gamma_minus_half": report.gamma_minus_half,
-        "residual_fixed_point": report.residual_fixed_point,
-        "residual_tangency": report.residual_tangency,
-    }
+    payload = dataclasses.asdict(report)
     if args.format == "csv":
         _write(args, "key,value\n" + "\n".join(f"{k},{v!r}" for k, v in payload.items()))
     else:

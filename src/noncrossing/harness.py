@@ -416,13 +416,12 @@ def _approximation_gap(n: int, ks: list[int], table: Mapping[int, float]) -> dic
     }
 
 
-def largest_block_exact_vs_approx(n: int, window: int | None = None) -> dict:
+def largest_block_exact_vs_approx(n: int, window: int) -> dict:
     """Max gap between the exact CDF and its double-exponential form.
 
     Scans k in floor(log2 n) +- window; the comparison bound
     10 (ln n)^2 / n tracks the approximation's stated error order.
     """
-    window = _CONFIG["largest_block_gap"]["window"] if window is None else window
     ks = _gap_ks(n, window)
     return _approximation_gap(n, ks, _exact_largest_block_table(n, max(ks)))
 

@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from noncrossing import harness
+from noncrossing import harness, limitlaws
 from noncrossing.cli import main
 
 
@@ -139,6 +140,8 @@ class TestExperimentCommands:
         payload = json.loads(out)
         assert 0.25 < payload["z0"] < 0.26
         assert abs(payload["residual_fixed_point"]) < 1e-13
+        report = limitlaws.solve_characteristic_maxblock(5)
+        assert out == json.dumps(dataclasses.asdict(report), indent=2) + "\n"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "out.csv"
@@ -202,6 +205,7 @@ def test_unknown_quantity_rejected(capsys):
             "sizes must differ; use the variance path for k == l",
         ),
         (["exact", "cross-moment", "--n", "3", "--k", "5", "--l", "1"], "sizes must lie in 1..n"),
+        (["stats"], "stats needs --partition or --n"),
     ],
 )
 def test_invalid_sizes_exit_2_with_one_line(capsys, argv, message):
