@@ -346,9 +346,13 @@ def check_singularity() -> CriterionResult:
     failures = []
     for k in range(1, cfg["k_max"] + 1):
         try:
-            limitlaws.solve_characteristic_maxblock(k)
+            solved = limitlaws.solve_characteristic_maxblock(k)
         except ArithmeticError as exc:
             failures.append(f"k={k}: {exc}")
+            continue
+        residual = max(abs(solved.residual_fixed_point), abs(solved.residual_tangency))
+        if residual > cfg["residual_max"]:
+            failures.append(f"k={k}: residual {residual:.2e} above {cfg['residual_max']}")
     k_exp = cfg["expansion_k"]
     report = limitlaws.solve_characteristic_maxblock(k_exp)
     factor = cfg["expansion_factor"]

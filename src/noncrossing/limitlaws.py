@@ -2,8 +2,10 @@
 
 Floating-point evaluators for the four limit laws (Gaussian block
 counts, geometric size profile, double-exponential largest block, Theta
-width) plus high-precision solvers for the characteristic systems whose
-square-root branch points drive the coefficient asymptotics.
+width) plus one high-precision solver for the square-root branch points
+of the characteristic systems H = H^2 + z (1 + m(H)), m a polynomial,
+that drive the coefficient asymptotics: bounded block size
+(m = -H^(k+1)) and criterion 8's size-l marked system.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from . import exact
 
 TERM_CUTOFF = 1e-15
 RESIDUAL_TARGET = 1e-13
-TRUST_REGION = 0.2
 
 
 def std_normal_cdf(x: float) -> float:
@@ -125,13 +126,38 @@ class SingularityReport:
             raise ArithmeticError("characteristic residuals above tolerance")
 
 
+def _branch_point(m: dict[int, int | mp.mpf], label: str) -> tuple[mp.mpf, mp.mpf]:
+    """Square-root branch point (s, z) of the system H = H^2 + z (1 + m(H)).
+
+    ``m`` maps each power of H to its coefficient.  The branch point is
+    where the tangency 1 = 2H + z m'(H) meets the fixed point; eliminating
+    z = s(1-s) / (1 + m(s)) leaves g(s) = (2s-1)(1+m(s)) + s(1-s) m'(s) = 0,
+    with g'(s) = 2(1+m(s)) + s(1-s) m''(s), which Newton solves from
+    s = 1/2 at the working precision.
+    """
+    s = mp.mpf(1) / 2
+    target = mp.mpf(10) ** (-(mp.mp.dps - 8))
+    for _ in range(200):
+        one_plus_m = 1 + sum(c * s**p for p, c in m.items())
+        dm = sum(c * p * s ** (p - 1) for p, c in m.items())
+        g = (2 * s - 1) * one_plus_m + s * (1 - s) * dm
+        if abs(g) < target:
+            break
+        d2m = sum(c * p * (p - 1) * s ** (p - 2) for p, c in m.items())
+        s -= g / (2 * one_plus_m + s * (1 - s) * d2m)
+    else:
+        raise ArithmeticError(f"branch solve did not converge for {label}")
+    return s, s * (1 - s) / one_plus_m
+
+
 def solve_characteristic_maxblock(k: int) -> SingularityReport:
     """Branch point of the bounded-block-size series y = z + y^2 - z y^(k+1).
 
-    Newton-solves the system {y = z + y^2 - z y^(k+1), 1 = 2y - (k+1) z y^k}
-    from (1/4, 1/2) in extended precision (mandatory for large k, where
-    the offsets from (1/4, 1/2) underflow doubles), and reports gamma for
-    the square-root expansion y(z) = y0 - gamma sqrt(1 - z/z0) + ...
+    Solves the system {y = z + y^2 - z y^(k+1), 1 = 2y - (k+1) z y^k}
+    with ``_branch_point`` (m(y) = -y^(k+1)) in extended precision
+    (mandatory for large k, where the offsets from (1/4, 1/2) underflow
+    doubles), and reports gamma for the square-root expansion
+    y(z) = y0 - gamma sqrt(1 - z/z0) + ...
 
     gamma is evaluated as sqrt(2 S(y0) / S''(y0)) with S(y) = 1 + y + ...
     + y^k, which equals the quotient form sqrt(2 z0 P_z / P_yy) wherever
@@ -152,27 +178,7 @@ def solve_characteristic_maxblock(k: int) -> SingularityReport:
         elif k == 2:
             z, y = mp.mpf(1) / 3, mp.mpf(1)
         else:
-            z = mp.mpf(1) / 4
-            y = mp.mpf(1) / 2
-            target = mp.mpf(10) ** (-(mp.mp.dps - 8))
-            for _ in range(200):
-                yk = y**k
-                yk1 = yk * y
-                f1 = z + y * y - z * yk1 - y
-                f2 = 2 * y - (k + 1) * z * yk - 1
-                if max(abs(f1), abs(f2)) < target:
-                    break
-                j11 = 1 - yk1                       # df1/dz
-                j12 = 2 * y - (k + 1) * z * yk - 1  # df1/dy
-                j21 = -(k + 1) * yk                 # df2/dz
-                j22 = 2 - k * (k + 1) * z * y ** (k - 1)  # df2/dy
-                det = j11 * j22 - j12 * j21
-                if det == 0:
-                    raise ArithmeticError(f"singular Jacobian at k={k}")
-                z -= (f1 * j22 - f2 * j12) / det
-                y -= (j11 * f2 - j21 * f1) / det
-            else:
-                raise ArithmeticError(f"characteristic solve did not converge for k={k}")
+            y, z = _branch_point({k + 1: -1}, f"k={k}")
         res1 = z + y * y - z * y ** (k + 1) - y
         res2 = 2 * y - (k + 1) * z * y**k - 1
         if k == 1:
@@ -194,119 +200,27 @@ def solve_characteristic_maxblock(k: int) -> SingularityReport:
         )
 
 
-def _singularity_position_mp(l: int, q) -> mp.mpf:
-    """Dominant-singularity location of the marked fixed-point system.
-
-    Solves the tangency system of y^2 + z + (y^l + y^(l+1))(q-1) z by the
-    one-variable elimination z = (1-2y) / ((q-1)(l + (l+1)y) y^(l-1)): the
-    branch value s near 1/2 satisfies
-    -1 + 2s + (q-1) s^l [(l-1)(1-s^2) + 2s] = 0.
-    """
-    q = mp.mpf(q)
-    if q == 1:
-        return mp.mpf(1) / 4
-    s = mp.mpf(1) / 2
-    target = mp.mpf(10) ** (-(mp.mp.dps - 8))
-    for _ in range(200):
-        sl = s**l
-        bracket = (l - 1) * (1 - s * s) + 2 * s
-        g = -1 + 2 * s + (q - 1) * sl * bracket
-        if abs(g) < target:
-            break
-        dbracket = -2 * (l - 1) * s + 2
-        dg = 2 + (q - 1) * (l * s ** (l - 1) * bracket + sl * dbracket)
-        s -= g / dg
-    else:
-        raise ArithmeticError(f"branch solve did not converge for l={l}, q={q}")
-    return (1 - 2 * s) / ((q - 1) * (l + (l + 1) * s) * s ** (l - 1))
-
-
-def singularity_position(l: int, q: float) -> float:
-    """Location rho(q) of the moving singularity for the size-l marker.
-
-    Defined on |q - 1| <= 0.2 around the unmarked value rho(1) = 1/4.
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if abs(q - 1.0) > TRUST_REGION:
-        raise ValueError(f"q={q} outside the trust region |q-1| <= {TRUST_REGION}")
-    with mp.workdps(40):
-        return float(_singularity_position_mp(l, q))
-
-
 def singularity_slope_at_one(l: int, *, step: float = 1e-4) -> float:
-    """d rho / dq at q = 1 by central differences with one Richardson step."""
+    """d rho / dq at q = 1 for the size-l marked system.
+
+    rho(q) is the branch point of H = H^2 + z (1 + (q-1)(H^l + H^(l+1))),
+    whose slope at q = 1 is -3 2^-(l+3) (the slope of the counting GF,
+    whose marker carries H^l - H^(l+1), is -2^-(l+3); see README).  Central
+    differences with one Richardson step.
+    """
     if l < 1:
         raise ValueError("l must be >= 1")
     with mp.workdps(40):
+        def rho(q: float) -> mp.mpf:
+            c = mp.mpf(q) - 1
+            return _branch_point({l: c, l + 1: c}, f"l={l}, q={q}")[1]
+
         def central(h: float) -> mp.mpf:
-            up = _singularity_position_mp(l, 1 + h)
-            down = _singularity_position_mp(l, 1 - h)
-            return (up - down) / (2 * mp.mpf(h))
+            return (rho(1 + h) - rho(1 - h)) / (2 * mp.mpf(h))
 
         coarse = central(step)
         fine = central(step / 2)
         return float((4 * fine - coarse) / 3)
-
-
-def _gf_singularity_position_mp(l: int, q) -> mp.mpf:
-    """Moving singularity of the size-l marked counting GF itself.
-
-    The marked GF H solves H = H^2 + z + (H^l - H^(l+1))(q-1) z (note the
-    minus: nesting sits inside the marked block, it does not add to it).
-    Eliminating the tangency condition leaves
-    -1 + 2s + (q-1)(l-1) s^l (1-s)^2 = 0 for the branch value s, and then
-    rho = s(1-s) / (1 + (q-1) s^l (1-s)).  For l = 1 this collapses to
-    s = 1/2 exactly and rho(q) = 1/(q+3).
-    """
-    q = mp.mpf(q)
-    if q == 1:
-        return mp.mpf(1) / 4
-    s = mp.mpf(1) / 2
-    target = mp.mpf(10) ** (-(mp.mp.dps - 8))
-    for _ in range(200):
-        sl = s**l
-        one_minus = 1 - s
-        g = -1 + 2 * s + (q - 1) * (l - 1) * sl * one_minus**2
-        if abs(g) < target:
-            break
-        dg = 2 + (q - 1) * (l - 1) * (
-            l * s ** (l - 1) * one_minus**2 - 2 * sl * one_minus
-        )
-        s -= g / dg
-    else:
-        raise ArithmeticError(f"marked-GF branch solve did not converge for l={l}")
-    return s * (1 - s) / (1 + (q - 1) * s**l * (1 - s))
-
-
-def gf_singularity_position(l: int, q: float) -> float:
-    """rho(q) for the actual marked counting GF (see variability_at_one)."""
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    if abs(q - 1.0) > TRUST_REGION:
-        raise ValueError(f"q={q} outside the trust region |q-1| <= {TRUST_REGION}")
-    with mp.workdps(40):
-        return float(_gf_singularity_position_mp(l, q))
-
-
-def variability_at_one(l: int, *, step: float = 1e-5) -> float:
-    """Variability V[rho(1)/rho(q)] at q = 1, by finite differences.
-
-    V[B] = B''(1) + B'(1) - B'(1)^2 with B(q) = rho(1)/rho(q), evaluated
-    on the singularity of the actual marked counting GF; positive V is
-    the second-order condition behind the Gaussian limit for size-l
-    counts.  (B'(1) here is also the geometric profile rate 2^-(l+1).)
-    """
-    if l < 1:
-        raise ValueError("l must be >= 1")
-    with mp.workdps(50):
-        h = mp.mpf(step)
-        quarter = mp.mpf(1) / 4
-        b_up = quarter / _gf_singularity_position_mp(l, 1 + float(h))
-        b_dn = quarter / _gf_singularity_position_mp(l, 1 - float(h))
-        first = (b_up - b_dn) / (2 * h)
-        second = (b_up - 2 + b_dn) / (h * h)
-        return float(second + first - first * first)
 
 
 @dataclass(frozen=True)

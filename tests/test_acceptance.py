@@ -150,3 +150,13 @@ def test_criterion_8_singularity_analysis(plan):
 
 def test_criterion_9_singleton_closed_form(plan):
     _check(plan, 9, "9")
+
+
+def test_criterion_8_enforces_the_declared_residual_bound(monkeypatch):
+    # the line prints residual_max from tolerances.json; a bound below the
+    # solver's residuals must fail the criterion
+    tight = {**acceptance._CFG["singularity"], "residual_max": 1e-200}
+    monkeypatch.setitem(acceptance._CFG, "singularity", tight)
+    result = acceptance.check_singularity()
+    assert not result.passed
+    assert "residual" in result.detail and "above 1e-200" in result.detail

@@ -161,6 +161,16 @@ class TestExperiments:
         assert payload["experiment_id"] == "clt-blocks"
         assert set(payload["checks"]) == set(rep.checks)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known fault, ROADMAP 11a: the total-variation check is a numpy "
+        "bool, which to_json writes as the string 'True' or 'False'",
+    )
+    def test_report_json_checks_are_booleans(self):
+        rep = harness.run_experiments(256, 2000, 0, [harness.Request("largest-block")])[0]
+        checks = json.loads(rep.to_json())["checks"]
+        assert all(isinstance(value, bool) for value in checks.values()), checks
+
     def test_reports_are_reproducible(self):
         a = run_one("clt-blocks", 100, 5000, 9, ks_max=0.2)
         b = run_one("clt-blocks", 100, 5000, 9, ks_max=0.2)

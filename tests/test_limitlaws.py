@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath as mp
 import pytest
 
 from noncrossing import exact, limitlaws
@@ -157,48 +159,92 @@ class TestCharacteristicSolver:
         assert report.gamma == pytest.approx(math.sqrt(2 * z0 * p_z / p_yy), rel=1e-9)
 
 
+def marked_rho(l, q, nesting):
+    """Branch point rho(q) of H = H^2 + z (1 + (q-1)(H^l + nesting H^(l+1))).
+
+    nesting = +1 is criterion 8's system; nesting = -1 is the size-l
+    marked counting GF, whose nesting sits inside the marked block.
+    """
+    with mp.workdps(40):
+        c = mp.mpf(q) - 1
+        return float(limitlaws._branch_point({l: c, l + 1: nesting * c}, f"l={l}")[1])
+
+
+def variability_at_one(l, *, step=1e-5):
+    """Variability V[rho(1)/rho(q)] at q = 1, by finite differences.
+
+    V[B] = B''(1) + B'(1) - B'(1)^2 with B(q) = rho(1)/rho(q), evaluated
+    on the singularity of the marked counting GF; positive V is the
+    second-order condition behind the Gaussian limit for size-l counts.
+    (B'(1) here is also the geometric profile rate 2^-(l+1).)
+    """
+    with mp.workdps(50):
+        h = mp.mpf(step)
+        quarter = mp.mpf(1) / 4
+
+        def b(q):
+            c = mp.mpf(q) - 1
+            return quarter / limitlaws._branch_point({l: c, l + 1: -c}, f"l={l}")[1]
+
+        b_up, b_dn = b(1 + float(h)), b(1 - float(h))
+        first = (b_up - b_dn) / (2 * h)
+        second = (b_up - 2 + b_dn) / (h * h)
+        return float(second + first - first * first)
+
+
 class TestMovingSingularity:
-    def test_unmarked_value(self):
-        assert limitlaws.singularity_position(1, 1.0) == 0.25
-        assert limitlaws.singularity_position(3, 1.0) == 0.25
+    @pytest.mark.parametrize("nesting", [1, -1])
+    def test_unmarked_value(self, nesting):
+        assert marked_rho(1, 1.0, nesting) == 0.25
+        assert marked_rho(3, 1.0, nesting) == 0.25
 
     def test_moves_down_above_one(self):
         for l in (1, 2, 3):
-            assert limitlaws.singularity_position(l, 1.05) < 0.25
+            assert marked_rho(l, 1.05, 1) < 0.25
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_slope(self, l):
         slope = limitlaws.singularity_slope_at_one(l)
         assert abs(slope - (-3.0 / 2 ** (3 + l))) < 1e-6
 
-    def test_trust_region(self):
-        with pytest.raises(ValueError):
-            limitlaws.singularity_position(1, 1.5)
-
     def test_gf_singularity_exact_law_for_singletons(self):
         # the marked counting GF for singletons has singularity 1/(q+3)
         for q in (0.85, 0.95, 1.0, 1.1, 1.2):
-            assert limitlaws.gf_singularity_position(1, q) == pytest.approx(
-                1.0 / (q + 3.0), abs=1e-14
-            )
+            assert marked_rho(1, q, -1) == pytest.approx(1.0 / (q + 3.0), abs=1e-14)
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_gf_slope_matches_geometric_rate(self, l):
         h = 1e-5
-        slope = (
-            limitlaws.gf_singularity_position(l, 1 + h)
-            - limitlaws.gf_singularity_position(l, 1 - h)
-        ) / (2 * h)
+        slope = (marked_rho(l, 1 + h, -1) - marked_rho(l, 1 - h, -1)) / (2 * h)
         # -rho'(1)/rho(1) equals the per-element mean 2^-(l+1)
         assert -slope / 0.25 == pytest.approx(2.0 ** -(l + 1), rel=1e-4)
 
     @pytest.mark.parametrize("l", [1, 2, 3])
     def test_variability_positive(self, l):
-        assert limitlaws.variability_at_one(l) > 0.0
+        assert variability_at_one(l) > 0.0
 
     def test_variability_exact_for_singletons(self):
         # B(q) = (q+3)/4 gives V = 1/4 - 1/16 exactly
-        assert limitlaws.variability_at_one(1) == pytest.approx(3.0 / 16.0, abs=1e-5)
+        assert variability_at_one(1) == pytest.approx(3.0 / 16.0, abs=1e-5)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_variability_matches_closed_form_variance(self, l):
+        # the leading variance of the size-l count is n V
+        assert variability_at_one(l) == pytest.approx(exact.asymptotic_var(l, 1), abs=1e-6)
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    def test_exact_growth_follows_the_counting_gf(self, l):
+        # Count_n(q) ~ C n^(-3/2) rho(q)^(-n): the ratio of consecutive
+        # exact values, with the n^(-3/2) factor taken out, is 1/rho(q)
+        q, n = Fraction(11, 10), 160
+
+        def count(size):
+            return sum(c * q**m for m, c in enumerate(exact.blocks_polynomial(size, l)))
+
+        growth = float(count(n) / count(n - 1)) * (n / (n - 1)) ** 1.5
+        assert growth == pytest.approx(1.0 / marked_rho(l, 1.1, -1), rel=1e-3)
+        # criterion 8's system grows at a different rate
+        assert abs(growth * marked_rho(l, 1.1, 1) - 1.0) >= 0.01
 
 
 class TestCountFit:
